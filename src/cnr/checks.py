@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore, metrics, ucrange
+from . import crange, matcore, metrics, ucrange
 from .decompose import (
     decompose as run_decompose,
     nonnegativity_test,
@@ -192,7 +192,7 @@ def duality_suite(n: int, seed: int, count: int = 25) -> list[CheckResult]:
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         res = support_direction(a, theta, cfg.derive(case))
         gaps.append(res.gap)
-        h = (np.cos(theta) * (a + a.conj().T) / 2.0 + np.sin(theta) * (a - a.conj().T) / 2.0j)
+        h = crange.rotated_hermitian_part(a, theta)
         lam_min = min(lam_min, matcore.lambda_min(np.diag(res.dual_y) - h))
         neg_gap = min(neg_gap, res.gap)
         align = max(

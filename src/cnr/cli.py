@@ -17,6 +17,8 @@ import numpy as np
 
 from . import checks, jsonio, metrics, svgplot, ucrange
 from .decompose import (
+    OFFDIAG_TOL,
+    TRACE_TOL,
     SosCertificate,
     certificate_from_obj,
     certificate_to_obj,
@@ -288,7 +290,7 @@ def _cmd_verify(args) -> int:
     rep = verify_certificate(a, cert)
     payload = {
         "command": "verify",
-        "config": {"tol_offdiag": 1e-8, "tol_trace": 1e-9},
+        "config": {"tol_offdiag": OFFDIAG_TOL, "tol_trace": TRACE_TOL},
         "result": {
             "valid": bool(rep.valid),
             "offdiag_max": float(rep.offdiag_max),
@@ -306,7 +308,7 @@ def _cmd_wuc(args) -> int:
     a = jsonio.load_matrix(args.input)
     cfg = _config(args)
     k_list = [int(x) for x in args.k_list.split(",") if x.strip()]
-    rng = np.random.default_rng([cfg.seed if cfg.seed is not None else 0, 17])
+    rng = np.random.default_rng([cfg.seed, 17])
     approx = ucrange.wuc_inner(a, k_list, args.samples, rng)
     rb = range_boundary(a, args.directions, cfg)
     cmp_res = ucrange.compare_ranges(a, cfg, boundary=rb, approx=approx)
@@ -337,7 +339,7 @@ def _cmd_wuc(args) -> int:
 
 def _cmd_kappa(args) -> int:
     cfg = _config(args)
-    rng = np.random.default_rng([cfg.seed if cfg.seed is not None else 0, 23])
+    rng = np.random.default_rng([cfg.seed, 23])
     est = metrics.kappa_search(args.n, args.budget, rng, cfg)
     payload = {
         "command": "kappa",
@@ -372,7 +374,7 @@ def _cmd_cnorm(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = _config(args)
-    results = checks.run_suite(args.suite, args.n, cfg.seed if cfg.seed is not None else 0, args.count)
+    results = checks.run_suite(args.suite, args.n, cfg.seed, args.count)
     all_ok = all(r.passed for r in results)
     for r in results:
         sys.stdout.write(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n")

@@ -18,6 +18,7 @@ restarts at non-global fixed points.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -344,12 +345,22 @@ def range_boundary(a, m: int = 256, cfg: SolveConfig | None = None) -> RangeBoun
     return RangeBoundary(matrix_hash=matrix_hash(a), samples=samples, radius=radius)
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-6):
-    """Golden-section maximization; returns (x, f(x))."""
+def _refine(a, m: int, cfg: SolveConfig, theta0: float, objective):
+    """Golden-section maximum of objective(theta, h(theta)) over theta0 +- 2 pi/m,
+    h the support function, to within 1e-6 in theta; the support solves take
+    the per-direction seeds that follow the m grid directions.  Returns
+    (theta, objective value)."""
+    counter = itertools.count(m + 1)
+
+    def f(theta: float) -> float:
+        return objective(theta, support_direction(a, theta, cfg.derive(next(counter))).value)
+
+    step = 2.0 * math.pi / m
+    lo, hi = theta0 - step, theta0 + step
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol:
+    while hi - lo > 1e-6:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
@@ -369,15 +380,7 @@ def radius(a, m: int = 256, cfg: SolveConfig | None = None) -> float:
     boundary = range_boundary(a, m, cfg)
     values = boundary.supports()
     k = int(np.argmax(values))
-    step = 2.0 * math.pi / m
-    counter = [m]
-
-    def h(theta: float) -> float:
-        counter[0] += 1
-        return support_direction(a, theta, cfg.derive(counter[0])).value
-
-    theta0 = boundary.samples[k].theta
-    _, refined = _golden_max(h, theta0 - step, theta0 + step)
+    _, refined = _refine(a, m, cfg, boundary.samples[k].theta, lambda t, h: h)
     return max(float(values[k]), float(refined))
 
 
@@ -392,15 +395,9 @@ def contains(a, point: complex, m: int = 256, cfg: SolveConfig | None = None) ->
     thetas = boundary.thetas()
     margins = values - (np.cos(thetas) * point.real + np.sin(thetas) * point.imag)
     k = int(np.argmin(margins))
-    step = 2.0 * math.pi / m
-    counter = [m]
-
-    def g(theta: float) -> float:
-        counter[0] += 1
-        res = support_direction(a, theta, cfg.derive(counter[0]))
-        return res.value - (math.cos(theta) * point.real + math.sin(theta) * point.imag)
-
-    theta_star, neg = _golden_max(lambda t: -g(t), thetas[k] - step, thetas[k] + step)
+    theta_star, neg = _refine(
+        a, m, cfg, thetas[k], lambda t, h: math.cos(t) * point.real + math.sin(t) * point.imag - h
+    )
     margin = min(float(margins[k]), float(-neg))
     uncertified = [s.gap for s in boundary.samples if not s.certified]
     gap_bound = max(uncertified) if uncertified else 0.0

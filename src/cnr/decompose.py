@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .crange import SolveConfig, SupportResult, polish_dual
+from .crange import SolveConfig, SupportResult, min_real_value, polish_dual
 from .errors import NotDecomposableError
 
 MARGIN_TOL = 1e-9
@@ -89,7 +89,7 @@ def nonnegativity_test(a, cfg: SolveConfig | None = None) -> NonnegativityResult
     margin is the dual lower bound on the minimum; the verdict is
     margin >= -1e-9.  Raises RangeNotRealError when the range is not real.
     """
-    res = _min_support(a, cfg)
+    res = min_real_value(a, cfg)
     margin = -float(np.mean(res.dual_y))
     return NonnegativityResult(
         nonnegative=margin >= -MARGIN_TOL,
@@ -97,12 +97,6 @@ def nonnegativity_test(a, cfg: SolveConfig | None = None) -> NonnegativityResult
         attained=res.minimum,
         support=res,
     )
-
-
-def _min_support(a, cfg: SolveConfig | None) -> SupportResult:
-    from .crange import min_real_value
-
-    return min_real_value(a, cfg)
 
 
 def decompose(a, cfg: SolveConfig | None = None) -> Decomposition:

@@ -9,10 +9,6 @@ class NotHermitianError(CnrError):
     pass
 
 
-class NoConvergenceError(CnrError):
-    pass
-
-
 class NotPsdError(CnrError):
     pass
 

@@ -60,40 +60,42 @@ def halfplane_polygon(thetas, supports) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def _edges_distance(p, a, b) -> float:
-    """Least distance from p to the segments a[i] -> b[i]."""
+def _polygon_distances(pts, poly) -> np.ndarray:
+    """Distance from each point to a filled convex polygon (0 if inside): the
+    least distance to an edge a[i] -> b[i]; one or two vertices make a single
+    (possibly degenerate) segment."""
+    convex = len(poly) > 2
+    a = poly if convex else poly[:1]
+    b = np.roll(poly, -1, axis=0) if convex else poly[-1:]
     ab = b - a
-    ap = p[None, :] - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.einsum("ij,ij->i", ap, ab) / np.where(denom > 0.0, denom, 1.0)
+    apx = pts[:, None, 0] - a[:, 0]
+    apy = pts[:, None, 1] - a[:, 1]
+    denom = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+    t = (apx * ab[:, 0] + apy * ab[:, 1]) / np.where(denom > 0.0, denom, 1.0)
     t = np.clip(np.where(denom > 0.0, t, 0.0), 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return float(np.min(np.hypot(p[0] - closest[:, 0], p[1] - closest[:, 1])))
+    cx = a[:, 0] + t * ab[:, 0]
+    cy = a[:, 1] + t * ab[:, 1]
+    d = np.min(np.hypot(pts[:, None, 0] - cx, pts[:, None, 1] - cy), axis=1)
+    if convex:
+        d[np.all(ab[:, 0] * apy - ab[:, 1] * apx >= 0.0, axis=1)] = 0.0
+    return d
 
 
 def point_polygon_distance(p, poly) -> float:
     """Distance from a point to a filled convex polygon (0 if inside)."""
-    p = np.asarray(p, dtype=float)
-    poly = np.asarray(poly, dtype=float).reshape(-1, 2)
-    k = len(poly)
-    if k == 1:
-        return float(np.hypot(*(p - poly[0])))
-    if k == 2:
-        return _edges_distance(p, poly[:1], poly[1:])
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[0] - a[:, 0])
-    if np.all(cross >= 0.0):
-        return 0.0
-    return _edges_distance(p, a, b)
+    p = np.asarray(p, dtype=float).reshape(1, 2)
+    return float(_polygon_distances(p, np.asarray(poly, dtype=float).reshape(-1, 2))[0])
 
 
 def directed_hausdorff(pts, poly) -> float:
     """max over pts of the distance to the filled convex polygon."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    poly = np.asarray(poly, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return 0.0
-    return max(point_polygon_distance(p, poly) for p in pts)
+    chunk = max(1, (1 << 18) // len(poly))  # bounds the points x edges temporaries
+    parts = (_polygon_distances(pts[i : i + chunk], poly) for i in range(0, len(pts), chunk))
+    return max(float(np.max(d)) for d in parts)
 
 
 def hausdorff(poly_a, poly_b) -> float:

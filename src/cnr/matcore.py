@@ -1,9 +1,8 @@
 """Dense complex linear algebra kernel.
 
-Hermitian eigendecomposition (cyclic complex Jacobi), operator norm (power
-iteration with a Jacobi cross-check at small sizes), traces, Hermitian parts,
-and random matrix generation.  Everything operates on square complex128
-numpy arrays and is pure given an explicit rng.
+Hermitian eigendecomposition and operator norm (LAPACK through numpy.linalg),
+traces, Hermitian parts, and random matrix generation.  Everything operates
+on square complex128 numpy arrays and is pure given an explicit rng.
 """
 
 from __future__ import annotations
@@ -12,13 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotHermitianError
+from .errors import NotHermitianError
 
 ATOL = 1e-12
-RTOL = 1e-10
-
-_JACOBI_OFF_THRESHOLD = 1e-13
-_JACOBI_MAX_SWEEPS = 100
 
 
 def as_matrix(a) -> np.ndarray:
@@ -26,7 +21,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -35,9 +30,9 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def is_hermitian(m: np.ndarray, scale_tol: float = ATOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return frobenius(m - m.conj().T) <= scale_tol * (1.0 + frobenius(m))
+    return frobenius(m - m.conj().T) <= ATOL * (1.0 + frobenius(m))
 
 
 @dataclass
@@ -48,76 +43,15 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_eigs(m, herm_tol: float = ATOL) -> SpectralDecomposition:
-    """Full spectral decomposition of a Hermitian matrix.
-
-    Cyclic complex Jacobi rotations; stops when the off-diagonal Frobenius
-    norm drops below 1e-13 times the matrix norm.  Raises NotHermitianError
-    if the input is not Hermitian to working precision (relative tolerance
-    herm_tol), NoConvergenceError if the sweep budget is exhausted.
-    """
+def hermitian_eigs(m) -> SpectralDecomposition:
+    """Full spectral decomposition of a Hermitian matrix (LAPACK via
+    np.linalg.eigh).  Raises NotHermitianError if the input is not Hermitian
+    to working precision; the exactly symmetrised matrix is decomposed."""
     a = as_matrix(m)
-    if not is_hermitian(a, herm_tol):
+    if not is_hermitian(a):
         raise NotHermitianError("input is not Hermitian to working precision")
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return SpectralDecomposition(np.array([a[0, 0].real]), v)
-
-    scale = frobenius(a)
-    if scale == 0.0:
-        return SpectralDecomposition(np.zeros(n), v)
-    threshold = _JACOBI_OFF_THRESHOLD * scale
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = frobenius(a - np.diag(np.diag(a)))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                ab = abs(b)
-                if ab <= threshold / n:
-                    continue
-                phase = b / ab
-                alpha = a[p, p].real
-                gamma = a[q, q].real
-                tau = (gamma - alpha) / (2.0 * ab)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary pair rotation J = diag(1, conj(phase)) * real Jacobi
-                # rotation [[c, s], [-s, c]], applied as A <- J^H A J.
-                cpc = c * phase.conjugate()
-                cp = c * phase
-                spc = s * phase.conjugate()
-                sp = s * phase
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - spc * col_q
-                a[:, q] = s * col_p + cpc * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sp * row_q
-                a[q, :] = s * row_p + cp * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = c * col_p - spc * col_q
-                v[:, q] = s * col_p + cpc * col_q
-    else:
-        raise NoConvergenceError("Jacobi sweep budget exhausted")
-
-    eigvals = np.diag(a).real.copy()
-    order = np.argsort(eigvals, kind="stable")
-    return SpectralDecomposition(eigvals[order], v[:, order])
+    lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return SpectralDecomposition(lam, v)
 
 
 def lambda_min(m) -> float:
@@ -125,49 +59,9 @@ def lambda_min(m) -> float:
     return float(hermitian_eigs(m).eigenvalues[0])
 
 
-def lambda_max(m) -> float:
-    return float(hermitian_eigs(m).eigenvalues[-1])
-
-
 def operator_norm(m) -> float:
-    """Largest singular value.
-
-    Power iteration on M*M with 10 random restarts; at n <= 8 the result is
-    cross-checked against the Jacobi eigendecomposition of M*M and the
-    larger (hence more accurate lower) bound wins.
-    """
-    a = as_matrix(m)
-    n = a.shape[0]
-    g = a.conj().T @ a
-    g = (g + g.conj().T) / 2.0
-    scale = frobenius(g)
-    if scale == 0.0:
-        return 0.0
-
-    best = 0.0
-    rng = np.random.default_rng(0x6F70)
-    for _ in range(10):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        x /= nx
-        lam_prev = 0.0
-        for _ in range(2000):
-            w = g @ x
-            lam = float(np.vdot(x, w).real)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            x = w / nw
-            if abs(lam - lam_prev) <= 1e-12 * max(1.0, abs(lam)):
-                break
-            lam_prev = lam
-        best = max(best, lam)
-
-    if n <= 8:
-        best = max(best, hermitian_eigs(g).eigenvalues[-1])
-    return float(np.sqrt(max(best, 0.0)))
+    """Largest singular value."""
+    return float(np.linalg.norm(as_matrix(m), 2))
 
 
 def normalized_trace(m) -> complex:

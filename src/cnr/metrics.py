@@ -20,6 +20,7 @@ from . import matcore
 from .crange import SolveConfig, radius, range_boundary
 
 SEMINORM_TOL = 1e-6
+POLYAK_ITERS = 12
 
 
 @dataclass
@@ -205,15 +206,13 @@ def _barrier_refine(t: np.ndarray, d0: np.ndarray, rel_tol: float = 1e-10):
     return float(sigma), d
 
 
-def correlation_seminorm_full(
-    t, restarts: int = 2, iters: int = 60, tol: float = SEMINORM_TOL, seed: int = 0
-) -> SeminormResult:
+def correlation_seminorm_full(t) -> SeminormResult:
     """Minimized operator norm over complex trace-zero diagonal shifts.
 
-    A short Polyak subgradient phase from deterministic starts (zero; the
+    A short Polyak subgradient phase from two deterministic starts (zero; the
     trace-centered diagonal of T) warm-starts the barrier refinement; the
-    problem is convex, so independent starts must agree, which is checked
-    and reported.  The returned value is attained by the returned diagonal,
+    problem is convex, so the two starts must agree, which is checked and
+    reported.  The returned value is attained by the returned diagonal,
     hence always an upper bound on the true infimum."""
     t = matcore.as_matrix(t)
     n = t.shape[0]
@@ -221,30 +220,23 @@ def correlation_seminorm_full(
     if scale == 0.0 or n == 1:
         return SeminormResult(0.0 if n > 1 else float(abs(t[0, 0])), np.zeros(n, dtype=np.complex128), True)
     center = _project_trace_zero(np.diag(t).copy())
-    starts = [np.zeros(n, dtype=np.complex128), center]
-    rng = np.random.default_rng(seed)
-    while len(starts) < max(2, restarts):
-        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        starts.append(scale * 0.3 * r)
     results = []
-    for d0 in starts[: max(2, restarts)]:
-        val, dd = _descend(t, d0, min(iters, 12))
+    for d0 in (np.zeros(n, dtype=np.complex128), center):
+        val, dd = _descend(t, d0, POLYAK_ITERS)
         if val <= 1e-13 * scale:
             return SeminormResult(0.0, dd, True)
         results.append((val, dd))
-        if len(results) == 2:
-            break
     results.sort(key=lambda r: r[0])
     val0, d_ref = _barrier_refine(t, results[0][1])
     val1, d_alt = _barrier_refine(t, results[-1][1], rel_tol=1e-6)
     if val1 < val0:
         val0, d_ref = val1, d_alt
-    agreed = abs(val1 - val0) <= tol
+    agreed = abs(val1 - val0) <= SEMINORM_TOL
     return SeminormResult(float(val0), d_ref, agreed)
 
 
-def correlation_seminorm(t, restarts: int = 10, iters: int = 250, tol: float = SEMINORM_TOL, seed: int = 0) -> float:
-    return correlation_seminorm_full(t, restarts, iters, tol, seed).value
+def correlation_seminorm(t) -> float:
+    return correlation_seminorm_full(t).value
 
 
 def sparse_witness(n: int) -> np.ndarray:

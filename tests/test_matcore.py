@@ -5,14 +5,26 @@ from cnr import matcore
 from cnr.errors import NotHermitianError
 
 
+def _sizes(rng, count, lo, hi):
+    """count sizes drawn from [lo, hi) one at a time (so the matrices drawn
+    in between keep their place in the stream), then 16, 32 and 64."""
+    for _ in range(count):
+        yield int(rng.integers(lo, hi))
+    yield from (16, 32, 64)
+
+
 def test_eigs_pauli_x():
     dec = matcore.hermitian_eigs([[0, 1], [1, 0]])
     assert np.allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-12)
 
 
 def test_eigs_identity():
-    dec = matcore.hermitian_eigs(np.eye(5))
-    assert np.allclose(dec.eigenvalues, 1.0, atol=1e-14)
+    for n in (1, 5):
+        dec = matcore.hermitian_eigs(np.eye(n))
+        assert np.allclose(dec.eigenvalues, 1.0, atol=1e-14)
+    dec = matcore.hermitian_eigs(np.zeros((4, 4)))
+    assert np.array_equal(dec.eigenvalues, np.zeros(4))
+    assert np.allclose(dec.eigenvectors.conj().T @ dec.eigenvectors, np.eye(4), atol=1e-14)
 
 
 def test_eigs_hand_derived_2x2():
@@ -28,8 +40,7 @@ def test_eigs_rejects_non_hermitian():
 
 def test_eigs_reconstruction_random():
     rng = np.random.default_rng(42)
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
+    for n in _sizes(rng, 100, 1, 9):
         m = matcore.ginibre_random(n, rng)
         m = (m + m.conj().T) / 2.0
         dec = matcore.hermitian_eigs(m)
@@ -44,8 +55,7 @@ def test_eigs_reconstruction_random():
 
 def test_eigs_match_numpy():
     rng = np.random.default_rng(7)
-    for _ in range(30):
-        n = int(rng.integers(2, 9))
+    for n in _sizes(rng, 30, 2, 9):
         m = matcore.ginibre_random(n, rng)
         m = (m + m.conj().T) / 2.0
         lam = matcore.hermitian_eigs(m).eigenvalues
@@ -73,8 +83,7 @@ def test_operator_norm_unitary_invariance():
 
 def test_operator_norm_matches_numpy_svd():
     rng = np.random.default_rng(11)
-    for _ in range(40):
-        n = int(rng.integers(1, 9))
+    for n in _sizes(rng, 40, 1, 9):
         m = matcore.ginibre_random(n, rng)
         ref = np.linalg.svd(m, compute_uv=False)[0]
         assert matcore.operator_norm(m) == pytest.approx(ref, rel=1e-10, abs=1e-12)

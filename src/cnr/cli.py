@@ -23,7 +23,6 @@ from .decompose import (
     certificate_from_obj,
     certificate_to_obj,
     decompose as run_decompose,
-    nonnegativity_test,
     sos_certificate,
     verify_certificate,
 )
@@ -33,7 +32,6 @@ from .crange import (
     contains,
     default_seed,
     matrix_hash,
-    min_real_value,
     radius,
     range_boundary,
 )
@@ -365,11 +363,12 @@ def _cmd_cnorm(args) -> int:
         "result": {
             "value": float(res.value),
             "diagonal": [jsonio.complex_obj(x) for x in res.diagonal],
-            "restarts_agree": bool(res.agreed),
+            "lower_bound": float(res.lower),
+            "certified": bool(res.agreed),
             "matrix_hash": matrix_hash(a),
         },
     }
-    return _finish(args, payload, [] if res.agreed else ["seminorm_restart_disagreement"])
+    return _finish(args, payload, [] if res.agreed else ["seminorm_gap_not_closed"])
 
 
 def _cmd_check(args) -> int:

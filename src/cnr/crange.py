@@ -26,10 +26,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matcore
-from .elliptope import CorrelationMatrix, GramFactor, gram_to_correlation
+from .elliptope import CorrelationMatrix, GramFactor, gram_to_correlation, random_gram
 from .errors import RangeNotRealError
 
 FLAG_GAP = "gap_not_closed"
+IMPROVE_TOL = 1e-13  # ascent plateau: per-sweep gain at or below this
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -53,7 +54,6 @@ class SolveConfig:
     tol: float = 1e-8
     restarts: int = 8
     max_sweeps: int = 5000
-    improve_tol: float = 1e-13
     seed: int | None = None
     counter: int = 0
     cancel: object = None
@@ -168,14 +168,14 @@ def rotated_hermitian_part(a: np.ndarray, theta: float) -> np.ndarray:
     return math.cos(theta) * s + math.sin(theta) * k
 
 
-def _ascend(h: np.ndarray, v: np.ndarray, max_sweeps: int, improve_tol: float, prev: float = -np.inf):
+def _ascend(h: np.ndarray, v: np.ndarray, max_sweeps: int, prev: float = -np.inf):
     """Block-coordinate ascent on the Gram rows of B.
 
     Row update: e_i <- c_i / ||c_i|| with c_i the H-weighted sum of the other
     rows; a zero c_i leaves e_i unchanged (any unit vector is then optimal,
     keeping the current one is the deterministic tie-break).  Returns
     (rows, value, plateaued); plateaued means the per-sweep improvement fell
-    below improve_tol before the sweep budget ran out.
+    below IMPROVE_TOL before the sweep budget ran out.
     """
     n = h.shape[0]
     hoff = h.copy()
@@ -189,7 +189,7 @@ def _ascend(h: np.ndarray, v: np.ndarray, max_sweeps: int, improve_tol: float, p
                 v[i] = u / nu
         b = v @ v.conj().T
         val = float(np.sum(h * b.T).real) / n
-        if val - prev <= improve_tol:
+        if val - prev <= IMPROVE_TOL:
             return v, val, True
         prev = val
     return v, val, False
@@ -198,10 +198,7 @@ def _ascend(h: np.ndarray, v: np.ndarray, max_sweeps: int, improve_tol: float, p
 def _start(n: int, restart: int, cfg: SolveConfig) -> np.ndarray:
     if restart == 0:
         return np.eye(n, dtype=np.complex128)
-    rng = cfg.rng(restart)
-    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    return v
+    return random_gram(n, cfg.rng(restart)).vectors
 
 
 def repair_dual(h: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -217,16 +214,20 @@ def polish_dual(h, y0, target, stop_tol=1e-12):
     mean(y) - mu * logdet(diag(y) - H) for a decreasing mu schedule.  The
     gradient and Hessian come from the inverse slack matrix; the barrier
     suboptimality at level mu is n*mu, so the final mu puts the mean within
-    ~1e-12 of the true dual optimum.  Returns the best exactly-feasible
-    iterate seen (the warm start is kept if no step improves on it).
+    stop_tol of the true dual optimum.  stop_tol, and so the final mu, is
+    floored at 8 n eps (1 + max|H|): below the eigensolves' resolution the
+    Newton steps only grow until they overflow.  Returns the best
+    exactly-feasible iterate seen (the warm start is kept if no step
+    improves on it).
     """
     n = h.shape[0]
+    scale = 1.0 + float(np.max(np.abs(h)))
+    stop_tol = max(stop_tol, 8.0 * n * np.finfo(float).eps * scale)
     y = repair_dual(h, np.asarray(y0, dtype=float))
     best = y.copy()
     best_mean = float(np.mean(y))
     if best_mean - target <= stop_tol:
         return best
-    scale = 1.0 + float(np.max(np.abs(h)))
     y = y + 1e-6 * scale  # strictly interior start
     mu = 1e-6 * scale
     while mu > stop_tol / (4.0 * n):
@@ -286,7 +287,7 @@ def support_direction(a, theta: float, cfg: SolveConfig | None = None) -> Suppor
         sweeps_left = cfg.max_sweeps
         while not certified:
             cfg.check_cancelled()
-            v, value, plateaued = _ascend(h, v, min(chunk, sweeps_left), cfg.improve_tol, value)
+            v, value, plateaued = _ascend(h, v, min(chunk, sweeps_left), value)
             sweeps_left -= chunk
             b = v @ v.conj().T
             y = repair_dual(h, np.diag(h @ b).real.copy())

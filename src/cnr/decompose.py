@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .crange import SolveConfig, SupportResult, min_real_value, polish_dual
+from .crange import SolveConfig, SupportResult, min_real_value, polish_dual, repair_dual
 from .errors import NotDecomposableError
 
 MARGIN_TOL = 1e-9
@@ -121,9 +121,7 @@ def decompose(a, cfg: SolveConfig | None = None) -> Decomposition:
     y = -np.asarray(nn.support.dual_y, dtype=float)
     if nn.attained - float(np.mean(y)) > cfg.tol / 4.0:
         y = -polish_dual(-s, -y, -nn.attained, stop_tol=cfg.tol / 4.0)
-    lam = matcore.hermitian_eigs(s - np.diag(y)).eigenvalues[0]
-    if lam < 0.0:
-        y = y + lam  # uniform shift keeps S - diag(y) exactly PSD
+    y = -repair_dual(-s, -y)  # uniform shift keeps S - diag(y) exactly PSD
     mean_y = float(np.mean(y))
     p = s - np.diag(y) + mean_y * np.eye(len(y))
     p = (p + p.conj().T) / 2.0

@@ -7,11 +7,15 @@ diagonals.  Both it and the range radius vanish exactly on trace-zero
 diagonals, so on each dimension there is a best constant kappa with
 kappa * seminorm <= radius <= seminorm; kappa is bracketed between
 1/(4n+2) and, for the canonical sparse witness, the computed radius itself.
+
+The seminorm is computed by one centred log-det barrier solve and certified
+by a dual bound read from the barrier's inverse slack matrix, so each result
+is a bracket lower <= seminorm <= value.  Singular values come from the
+Hermitian dilation, so every eigensolve goes through matcore.hermitian_eigs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +24,25 @@ from . import matcore
 from .crange import SolveConfig, radius, range_boundary
 
 SEMINORM_TOL = 1e-6
-POLYAK_ITERS = 12
+# Barrier path: Newton steps centre each mu level, up to and including one
+# with decrement -grad.step <= CENTRE_TOL * mu (at most CENTRE_STEPS); then mu
+# shrinks by MU_SHRINK, down to END_TOL * ||T||_F / (8n).
+CENTRE_TOL = 1e-6
+CENTRE_STEPS = 30
+MU_SHRINK = 0.02
+END_TOL = 1e-10
 
 
 @dataclass
 class SeminormResult:
+    """Two-sided seminorm: value is attained by the trace-zero diagonal shift
+    (upper bound), lower is the barrier's dual bound, and agreed means the
+    bracket closed: value - lower <= SEMINORM_TOL."""
+
     value: float
     diagonal: np.ndarray
-    agreed: bool  # independent restarts matched to tolerance
+    agreed: bool
+    lower: float
 
 
 @dataclass
@@ -60,97 +75,60 @@ class DirectSumReport:
     direct: np.ndarray
 
 
-def _top_singular_triple(m: np.ndarray):
-    g = m.conj().T @ m
-    g = (g + g.conj().T) / 2.0
-    dec = matcore.hermitian_eigs(g)
-    lam = max(float(dec.eigenvalues[-1]), 0.0)
-    sigma = math.sqrt(lam)
-    v = dec.eigenvectors[:, -1]
-    if sigma > 0.0:
-        u = (m @ v) / sigma
-    else:
-        u = np.zeros_like(v)
-        u[0] = 1.0
-    return sigma, u, v
+def _dilation(x: np.ndarray, s: float = 0.0) -> np.ndarray:
+    """[[sI, X], [X*, sI]]: PSD exactly when s >= ||X||; at s = 0 its
+    eigenvalues are +-sigma_i(X)."""
+    n = x.shape[0]
+    z = s * np.eye(2 * n, dtype=np.complex128)
+    z[:n, n:] = x
+    z[n:, :n] = x.conj().T
+    return z
 
 
-def _project_trace_zero(d: np.ndarray) -> np.ndarray:
-    return d - np.mean(d)
+def _singular_values(x: np.ndarray) -> np.ndarray:
+    """Singular values of a square X, ascending: the upper half of the
+    spectrum of its Hermitian dilation (no squared condition number)."""
+    n = x.shape[0]
+    return np.maximum(matcore.hermitian_eigs(_dilation(x)).eigenvalues[n:], 0.0)
 
 
-def _descend(t: np.ndarray, d0: np.ndarray, iters: int) -> tuple[float, np.ndarray]:
-    """Polyak subgradient descent on d -> ||T - diag(d)|| over trace-zero d.
+def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
+    """Interior-point solve of the seminorm minimization from the diagonal d
+    (sigma = ||T - diag(d)||), certified by a dual bound.
 
-    Subgradient from the top singular pair (u, v): the entrywise direction
-    u_i conj(v_i), projected onto the trace-zero hyperplane.  The Polyak
-    target tracks the best value seen minus a decaying slack.
-    """
-    d = _project_trace_zero(d0.astype(np.complex128))
-    sigma, u, v = _top_singular_triple(t - np.diag(d))
-    best, best_d = sigma, d.copy()
-    slack = max(0.1 * sigma, 1e-3)
-    stall = 0
-    for _ in range(iters):
-        g = -u * np.conj(v)
-        g = _project_trace_zero(g)
-        gn = float(np.real(np.vdot(g, g)))
-        if gn < 1e-30:
-            break
-        step = (sigma - (best - slack)) / gn
-        d = _project_trace_zero(d - step * g)
-        sigma, u, v = _top_singular_triple(t - np.diag(d))
-        if sigma < best - 1e-14:
-            best, best_d = sigma, d.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 12:
-                slack *= 0.5
-                stall = 0
-                d = best_d.copy()
-                sigma, u, v = _top_singular_triple(t - np.diag(d))
-        if slack < 1e-9:
-            break
-    return best, best_d
+    Works on the epigraph form  min s  s.t.  Z = [[sI, M], [M*, sI]] >= 0 with
+    M = T - diag(d) and both diagonal sums of d pinned to zero; damped Newton
+    steps centre the logdet barrier on each level of a decreasing mu path.
+    The sparsity of the constraint derivatives makes gradient and Hessian
+    assembly O(n^2) from W = Z^-1.
 
-
-def _barrier_refine(t: np.ndarray, d0: np.ndarray, rel_tol: float = 1e-10):
-    """Interior-point refinement of the seminorm minimization.
-
-    Works on the epigraph form  min s  s.t.  [[sI, M], [M*, sI]] >= 0 with
-    M = T - diag(d) and both diagonal sums pinned to zero; damped Newton on
-    the logdet barrier along a decreasing centering path.  The sparsity of
-    the constraint derivatives makes gradient and Hessian assembly O(n^2)
-    from the inverse slack matrix.  Returns (value, d) with the value
-    attained by d (so always a valid upper bound)."""
+    Returns (value, d, lower) with value attained by d.  For Y, the
+    lower-left block of W with its diagonal replaced by its mean,
+    tr(Y D) = 0 for every trace-zero diagonal D, so |tr(Y T)| =
+    |tr(Y (T - D))| <= ||Y||_1 ||T - D||: lower is the best |tr(Y T)| / ||Y||_1
+    over the centred levels.  The last level alone is not enough: its slack
+    s - sigma is so small that rounding leaves W's diagonal uneven by up to
+    ~1e-5 relative, and the averaging turns that into a loss of ~1e-6."""
     n = t.shape[0]
-    d = _project_trace_zero(d0.astype(np.complex128))
-    scale = max(matcore.frobenius(t), 1e-30)
-    sigma = _top_singular_triple(t - np.diag(d))[0]
+    scale = matcore.frobenius(t)
     s = sigma + max(0.02 * sigma, 1e-4 * scale)
     mu = max(s - sigma, 1e-5 * scale)
-    mu_end = rel_tol * scale / (8.0 * n)
+    mu_end = END_TOL * scale / (8.0 * n)
 
-    idx = np.arange(n)
-    cons = np.zeros((2, 1 + 2 * n))
-    cons[0, 1 : n + 1] = 1.0
-    cons[1, n + 1 :] = 1.0
+    # Newton KKT matrix: the Hessian block is rewritten at every step, the
+    # rows and columns pinning both diagonal sums of d stay fixed
+    kkt = np.zeros((2 * n + 3, 2 * n + 3))
+    kkt[2 * n + 1, 1 : n + 1] = kkt[1 : n + 1, 2 * n + 1] = 1.0
+    kkt[2 * n + 2, n + 1 : 2 * n + 1] = kkt[n + 1 : 2 * n + 1, 2 * n + 2] = 1.0
+    hess = kkt[: 2 * n + 1, : 2 * n + 1]
 
-    eye2n = np.eye(2 * n, dtype=np.complex128)
-
-    def slack(s_val, d_val):
-        m = t - np.diag(d_val)
-        z = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        z[:n, :n] = s_val * np.eye(n)
-        z[n:, n:] = s_val * np.eye(n)
-        z[:n, n:] = m
-        z[n:, :n] = m.conj().T
-        return z
+    def inverse(z):
+        w = np.linalg.inv(z)
+        return (w + w.conj().T) / 2.0
 
     def try_factor(s_val, d_val):
         """Cholesky of the slack matrix: positivity test plus log-det."""
-        z = slack(s_val, d_val)
+        z = _dilation(t - np.diag(d_val), s_val)
         try:
             c = np.linalg.cholesky(z)
         except np.linalg.LinAlgError:
@@ -158,35 +136,26 @@ def _barrier_refine(t: np.ndarray, d0: np.ndarray, rel_tol: float = 1e-10):
         return z, 2.0 * float(np.sum(np.log(np.diag(c).real)))
 
     z, logdet = try_factor(s, d)
+    lower = 0.0
     while mu > mu_end:
-        for _ in range(2):
-            w = np.linalg.solve(z, eye2n)
-            w = (w + w.conj().T) / 2.0
+        for _ in range(CENTRE_STEPS):
+            w = inverse(z)
             w2 = w @ w
             w21 = w[n:, :n]
             p1 = w21 * w21.T
             p2 = w[:n, :n].T * w[n:, n:]
-            grad = np.empty(1 + 2 * n)
-            grad[0] = 1.0 - mu * float(np.trace(w).real)
-            grad[1 : n + 1] = -mu * (-2.0 * w21[idx, idx].real)
-            grad[n + 1 :] = -mu * (2.0 * w21[idx, idx].imag)
-            hess = np.empty((1 + 2 * n, 1 + 2 * n))
+            g_d = 2.0 * mu * np.conj(np.diag(w21))
+            grad = np.concatenate([[1.0 - mu * float(np.trace(w).real)], g_d.real, g_d.imag])
             hess[0, 0] = mu * float(np.trace(w2).real)
-            w2_21 = w2[n:, :n]
-            hess[0, 1 : n + 1] = hess[1 : n + 1, 0] = mu * (-2.0 * w2_21[idx, idx].real)
-            hess[0, n + 1 :] = hess[n + 1 :, 0] = mu * (2.0 * w2_21[idx, idx].imag)
+            h_d = -2.0 * mu * np.conj(np.diag(w2[n:, :n]))
+            hess[0, 1 : n + 1] = hess[1 : n + 1, 0] = h_d.real
+            hess[0, n + 1 :] = hess[n + 1 :, 0] = h_d.imag
             hess[1 : n + 1, 1 : n + 1] = 2.0 * mu * (p1 + p2).real
             hess[1 : n + 1, n + 1 :] = 2.0 * mu * (p2 - p1).imag
             hess[n + 1 :, 1 : n + 1] = hess[1 : n + 1, n + 1 :].T
             hess[n + 1 :, n + 1 :] = 2.0 * mu * (p2 - p1).real
-            kkt = np.zeros((2 * n + 3, 2 * n + 3))
-            kkt[: 2 * n + 1, : 2 * n + 1] = hess
-            kkt[: 2 * n + 1, 2 * n + 1 :] = cons.T
-            kkt[2 * n + 1 :, : 2 * n + 1] = cons
-            rhs = np.zeros(2 * n + 3)
-            rhs[: 2 * n + 1] = -grad
             try:
-                step = np.linalg.solve(kkt, rhs)[: 2 * n + 1]
+                step = np.linalg.solve(kkt, np.concatenate([-grad, [0.0, 0.0]]))[: 2 * n + 1]
             except np.linalg.LinAlgError:
                 break
             f0 = s - mu * logdet
@@ -195,44 +164,41 @@ def _barrier_refine(t: np.ndarray, d0: np.ndarray, rel_tol: float = 1e-10):
                 s_new = s + tstep * step[0]
                 d_new = d + tstep * (step[1 : n + 1] + 1j * step[n + 1 :])
                 z_new, logdet_new = try_factor(s_new, d_new)
-                if z_new is not None:
-                    f_new = s_new - mu * logdet_new
-                    if f_new <= f0 + 1e-12 * (1.0 + abs(f0)):
-                        s, d, z, logdet = s_new, d_new, z_new, logdet_new
-                        break
+                if z_new is not None and s_new - mu * logdet_new <= f0 + 1e-12 * (1.0 + abs(f0)):
+                    s, d, z, logdet = s_new, d_new, z_new, logdet_new
+                    break
                 tstep *= 0.5
-        mu *= 0.12
-    sigma = _top_singular_triple(t - np.diag(d))[0]
-    return float(sigma), d
+            else:
+                break
+            if -float(grad @ step) <= CENTRE_TOL * mu:
+                break
+        y = inverse(z)[n:, :n]
+        np.fill_diagonal(y, np.mean(np.diag(y)))
+        nuclear = float(np.sum(_singular_values(y)))
+        if nuclear > 0.0:
+            lower = max(lower, abs(complex(np.sum(y * t.T))) / nuclear)
+        mu *= MU_SHRINK
+    return float(_singular_values(t - np.diag(d))[-1]), d, lower
 
 
 def correlation_seminorm_full(t) -> SeminormResult:
     """Minimized operator norm over complex trace-zero diagonal shifts.
 
-    A short Polyak subgradient phase from two deterministic starts (zero; the
-    trace-centered diagonal of T) warm-starts the barrier refinement; the
-    problem is convex, so the two starts must agree, which is checked and
-    reported.  The returned value is attained by the returned diagonal,
-    hence always an upper bound on the true infimum."""
+    The problem is convex, so one barrier solve from the trace-centred
+    diagonal of T suffices; its dual bound certifies the result.  The
+    returned value is attained by the returned diagonal, hence always an
+    upper bound on the true infimum."""
     t = matcore.as_matrix(t)
     n = t.shape[0]
-    scale = matcore.frobenius(t)
-    if scale == 0.0 or n == 1:
-        return SeminormResult(0.0 if n > 1 else float(abs(t[0, 0])), np.zeros(n, dtype=np.complex128), True)
-    center = _project_trace_zero(np.diag(t).copy())
-    results = []
-    for d0 in (np.zeros(n, dtype=np.complex128), center):
-        val, dd = _descend(t, d0, POLYAK_ITERS)
-        if val <= 1e-13 * scale:
-            return SeminormResult(0.0, dd, True)
-        results.append((val, dd))
-    results.sort(key=lambda r: r[0])
-    val0, d_ref = _barrier_refine(t, results[0][1])
-    val1, d_alt = _barrier_refine(t, results[-1][1], rel_tol=1e-6)
-    if val1 < val0:
-        val0, d_ref = val1, d_alt
-    agreed = abs(val1 - val0) <= SEMINORM_TOL
-    return SeminormResult(float(val0), d_ref, agreed)
+    if n == 1:
+        v = float(abs(t[0, 0]))
+        return SeminormResult(v, np.zeros(1, dtype=np.complex128), True, v)
+    d = np.diag(t) - np.mean(np.diag(t))
+    sigma = float(_singular_values(t - np.diag(d))[-1])
+    if sigma <= 1e-13 * matcore.frobenius(t):
+        return SeminormResult(sigma, d, sigma <= SEMINORM_TOL, 0.0)
+    value, d, lower = _barrier(t, d, sigma)
+    return SeminormResult(value, d, value - lower <= SEMINORM_TOL, lower)
 
 
 def correlation_seminorm(t) -> float:

@@ -180,7 +180,8 @@ def test_cnorm_command(tmp_path, e12_file):
     assert main(["cnorm", "--input", e12_file, "--out", str(out)]) == 0
     res = json.loads(out.read_text())["result"]
     assert res["value"] == pytest.approx(1.0, abs=1e-8)
-    assert res["restarts_agree"] is True
+    assert res["certified"] is True
+    assert res["lower_bound"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_check_command(tmp_path, capsys):

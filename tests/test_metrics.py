@@ -35,9 +35,34 @@ def test_seminorm_matches_zoom_grid_2x2():
     rng = np.random.default_rng(0)
     for _ in range(6):
         t = matcore.ginibre_random(2, rng)
-        assert metrics.correlation_seminorm(t) == pytest.approx(
-            seminorm_2x2_zoom(t), abs=1e-6
-        )
+        res = metrics.correlation_seminorm_full(t)
+        oracle = seminorm_2x2_zoom(t)
+        assert res.value == pytest.approx(oracle, abs=1e-6)
+        assert res.lower <= oracle + 1e-9
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_seminorm_bracket(n, sparse):
+    # the shapes kappa_search starts from: Ginibre and masked-sparse
+    rng = np.random.default_rng(100 * n + sparse)
+    for _ in range(3):
+        t = matcore.ginibre_random(n, rng)
+        if sparse:
+            mask = rng.random((n, n)) < 2.0 / n
+            np.fill_diagonal(mask, False)
+            t = t * mask
+            if not mask.any():
+                t[0, 1] = 1.0
+        res = metrics.correlation_seminorm_full(t)
+        assert 0.0 <= res.value - res.lower <= metrics.SEMINORM_TOL
+        assert res.agreed
+        # weak duality: the dual bound sits below every trace-zero shift,
+        # far from and close to the returned one
+        for scale in (1.0, 1e-3, 1e-6):
+            d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            d = res.diagonal + scale * (d - np.mean(d))
+            assert res.lower <= np.linalg.norm(t - np.diag(d), 2)
 
 
 def test_seminorm_lower_bounds():

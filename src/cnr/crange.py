@@ -349,12 +349,17 @@ def range_boundary(a, m: int = 256, cfg: SolveConfig | None = None) -> RangeBoun
 def _refine(a, m: int, cfg: SolveConfig, theta0: float, objective):
     """Golden-section maximum of objective(theta, h(theta)) over theta0 +- 2 pi/m,
     h the support function, to within 1e-6 in theta; the support solves take
-    the per-direction seeds that follow the m grid directions.  Returns
-    (theta, objective value)."""
+    the per-direction seeds that follow the m grid directions, derive(m + 1),
+    derive(m + 2), ...  Returns (theta, objective value, flags), each flag
+    indexed by its solve's derive counter like the grid's."""
     counter = itertools.count(m + 1)
+    flags: list[str] = []
 
     def f(theta: float) -> float:
-        return objective(theta, support_direction(a, theta, cfg.derive(next(counter))).value)
+        k = next(counter)
+        res = support_direction(a, theta, cfg.derive(k))
+        flags.extend(f"{flag}@{k}" for flag in res.flags)
+        return objective(theta, res.value)
 
     step = 2.0 * math.pi / m
     lo, hi = theta0 - step, theta0 + step
@@ -370,19 +375,24 @@ def _refine(a, m: int, cfg: SolveConfig, theta0: float, objective):
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
             f1 = f(x1)
-    return ((lo + hi) / 2.0, max(f1, f2))
+    return (lo + hi) / 2.0, max(f1, f2), tuple(flags)
 
 
-def radius(a, m: int = 256, cfg: SolveConfig | None = None) -> float:
+def radius_full(a, m: int = 256, cfg: SolveConfig | None = None) -> tuple[float, tuple[str, ...]]:
     """Largest modulus over the range: grid maximum of the support values,
-    refined by golden section near the argmax."""
+    refined by golden section near the argmax.  Returns the radius and the
+    flags of every support solve it ran, grid and refinement."""
     a = matcore.as_matrix(a)
     cfg = cfg or SolveConfig()
     boundary = range_boundary(a, m, cfg)
     values = boundary.supports()
     k = int(np.argmax(values))
-    _, refined = _refine(a, m, cfg, boundary.samples[k].theta, lambda t, h: h)
-    return max(float(values[k]), float(refined))
+    _, refined, flags = _refine(a, m, cfg, boundary.samples[k].theta, lambda t, h: h)
+    return max(float(values[k]), float(refined)), boundary.flags() + flags
+
+
+def radius(a, m: int = 256, cfg: SolveConfig | None = None) -> float:
+    return radius_full(a, m, cfg)[0]
 
 
 def contains(a, point: complex, m: int = 256, cfg: SolveConfig | None = None) -> Containment:
@@ -396,7 +406,7 @@ def contains(a, point: complex, m: int = 256, cfg: SolveConfig | None = None) ->
     thetas = boundary.thetas()
     margins = values - (np.cos(thetas) * point.real + np.sin(thetas) * point.imag)
     k = int(np.argmin(margins))
-    theta_star, neg = _refine(
+    theta_star, neg, _ = _refine(
         a, m, cfg, thetas[k], lambda t, h: math.cos(t) * point.real + math.sin(t) * point.imag - h
     )
     margin = min(float(margins[k]), float(-neg))

@@ -17,14 +17,13 @@ trace-zero diagonals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import jsonio, matcore
 from .crange import SolveConfig, SupportResult, min_real_value, polish_dual, repair_dual
-from .errors import NotDecomposableError
+from .errors import MatrixParseError, NotDecomposableError
 
 MARGIN_TOL = 1e-9
 RANK_CUT = 1e-10
@@ -174,24 +173,23 @@ def certificate_to_obj(cert: SosCertificate) -> dict:
     "residual": ...}."""
     return {
         "n": cert.n,
-        "q": [[{"re": float(x.real), "im": float(x.imag)} for x in q] for q in cert.coeffs],
-        "D": [{"re": float(x.real), "im": float(x.imag)} for x in cert.diagonal],
+        "q": [[jsonio.complex_obj(x) for x in q] for q in cert.coeffs],
+        "D": [jsonio.complex_obj(x) for x in cert.diagonal],
         "residual": float(cert.residual),
     }
 
 
-def certificate_from_obj(obj: dict) -> SosCertificate:
-    n = int(obj["n"])
-    if n < 1:
-        raise ValueError("certificate dimension must be positive")
-    coeffs = []
-    for q in obj["q"]:
-        if len(q) != n:
-            raise ValueError("certificate vector length does not match n")
-        coeffs.append(np.array([complex(x["re"], x["im"]) for x in q]))
-    diag = np.array([complex(x["re"], x["im"]) for x in obj["D"]])
-    if len(diag) != n:
-        raise ValueError("certificate diagonal length does not match n")
-    if not all(math.isfinite(v) for q in coeffs for x in q for v in (x.real, x.imag)):
-        raise ValueError("certificate entries must be finite")
-    return SosCertificate(coeffs=coeffs, diagonal=diag, residual=float(obj.get("residual", 0.0)))
+def certificate_from_obj(obj, where: str = "<certificate>") -> SosCertificate:
+    """Inverse of certificate_to_obj; malformed input raises MatrixParseError."""
+    n = jsonio.dimension(obj, ("q", "D"), where)
+    if not isinstance(obj["q"], list):
+        raise MatrixParseError(f"{where}: field 'q' must be a list of vectors")
+    try:
+        residual = float(obj.get("residual", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise MatrixParseError(f"{where}: field 'residual' must be a number") from exc
+    return SosCertificate(
+        coeffs=[jsonio.vector_from_obj(q, n, f"{where}: q[{k}]") for k, q in enumerate(obj["q"])],
+        diagonal=jsonio.vector_from_obj(obj["D"], n, f"{where}: D"),
+        residual=residual,
+    )

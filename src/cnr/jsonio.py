@@ -75,48 +75,62 @@ def matrix_obj(m: np.ndarray) -> dict:
     }
 
 
-def load_matrix(path: str) -> np.ndarray:
-    """Parse a matrix file: {"n": int, "rows": [[{re, im}, ...], ...]}."""
+def load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MatrixParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return matrix_from_obj(obj, where=path)
 
 
-def matrix_from_obj(obj, where: str = "<matrix>") -> np.ndarray:
-    if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
-        raise MatrixParseError(f"{where}: expected an object with fields 'n' and 'rows'")
+def load_matrix(path: str) -> np.ndarray:
+    """Parse a matrix file: {"n": int, "rows": [[{re, im}, ...], ...]}."""
+    return matrix_from_obj(load_json(path), where=path)
+
+
+def dimension(obj, fields: tuple[str, ...], where: str) -> int:
+    """The positive integer field 'n' of an object that must also hold fields."""
+    if not isinstance(obj, dict) or not all(f in obj for f in ("n",) + fields):
+        names = ", ".join(f"'{f}'" for f in ("n",) + fields)
+        raise MatrixParseError(f"{where}: expected an object with fields {names}")
     try:
         n = int(obj["n"])
     except (TypeError, ValueError) as exc:
         raise MatrixParseError(f"{where}: field 'n' must be an integer") from exc
     if n < 1:
         raise MatrixParseError(f"{where}: field 'n' must be positive")
+    return n
+
+
+def vector_from_obj(cells, n: int, where: str) -> np.ndarray:
+    """Parse a list of n {re, im} objects with finite numeric parts."""
+    if not isinstance(cells, list) or len(cells) != n:
+        raise DimensionMismatchError(f"{where}: expected a list of {n} entries")
+    out = np.zeros(n, dtype=np.complex128)
+    for j, cell in enumerate(cells):
+        try:
+            re = float(cell["re"])
+            im = float(cell["im"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise MatrixParseError(
+                f"{where}, entry {j}: expected an object with numeric 're' and 'im'"
+            ) from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise MatrixParseError(f"{where}, entry {j}: entries must be finite")
+        out[j] = complex(re, im)
+    return out
+
+
+def matrix_from_obj(obj, where: str = "<matrix>") -> np.ndarray:
+    n = dimension(obj, ("rows",), where)
     rows = obj["rows"]
     if not isinstance(rows, list) or len(rows) != n:
         raise DimensionMismatchError(f"{where}: expected {n} rows, got {len(rows) if isinstance(rows, list) else 'none'}")
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise DimensionMismatchError(f"{where}: row {i} must have {n} entries")
-        for j, cell in enumerate(row):
-            try:
-                re = float(cell["re"])
-                im = float(cell["im"])
-            except (TypeError, KeyError, ValueError) as exc:
-                raise MatrixParseError(
-                    f"{where}: row {i}, column {j}: expected an object with numeric 're' and 'im'"
-                ) from exc
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise MatrixParseError(f"{where}: row {i}, column {j}: entries must be finite")
-            out[i, j] = complex(re, im)
-    return out
+    return np.array([vector_from_obj(row, n, f"{where}: row {i}") for i, row in enumerate(rows)])
 
 
 def save_text(path: str, text: str) -> None:

@@ -23,21 +23,23 @@ import numpy as np
 from . import matcore
 from .crange import SolveConfig, radius, range_boundary
 
-SEMINORM_TOL = 1e-6
+SEMINORM_TOL = 1e-6  # bracket width, relative to max |T_ij|
 # Barrier path: Newton steps centre each mu level, up to and including one
-# with decrement -grad.step <= CENTRE_TOL * mu (at most CENTRE_STEPS); then mu
-# shrinks by MU_SHRINK, down to END_TOL * ||T||_F / (8n).
+# with decrement -grad.step <= CENTRE_TOL * mu; then mu shrinks by MU_SHRINK,
+# down to END_TOL * ||T||_F / (8n).  CENTRE_STEPS is only a safety stop: the
+# slowest level seen on benchmark-shaped inputs (n <= 16) takes 41 steps.
 CENTRE_TOL = 1e-6
-CENTRE_STEPS = 30
+CENTRE_STEPS = 100
 MU_SHRINK = 0.02
 END_TOL = 1e-10
+KAPPA_DIRECTIONS = 64  # support grid of the radius inside kappa_search
 
 
 @dataclass
 class SeminormResult:
     """Two-sided seminorm: value is attained by the trace-zero diagonal shift
     (upper bound), lower is the barrier's dual bound, and agreed means the
-    bracket closed: value - lower <= SEMINORM_TOL."""
+    bracket closed: value - lower <= SEMINORM_TOL * max |T_ij|."""
 
     value: float
     diagonal: np.ndarray
@@ -187,18 +189,21 @@ def correlation_seminorm_full(t) -> SeminormResult:
     The problem is convex, so one barrier solve from the trace-centred
     diagonal of T suffices; its dual bound certifies the result.  The
     returned value is attained by the returned diagonal, hence always an
-    upper bound on the true infimum."""
+    upper bound on the true infimum.  The solve runs on T / max |T_ij| and is
+    scaled back (the seminorm is homogeneous), so neither the barrier nor the
+    tolerance depends on the scale of T."""
     t = matcore.as_matrix(t)
     n = t.shape[0]
-    if n == 1:
-        v = float(abs(t[0, 0]))
-        return SeminormResult(v, np.zeros(1, dtype=np.complex128), True, v)
+    scale = float(np.max(np.abs(t)))
+    if n == 1 or scale == 0.0:  # the seminorm is |t_11|, or T is zero
+        return SeminormResult(scale, np.zeros(n, dtype=np.complex128), True, scale)
+    t = t / scale
     d = np.diag(t) - np.mean(np.diag(t))
     sigma = float(_singular_values(t - np.diag(d))[-1])
     if sigma <= 1e-13 * matcore.frobenius(t):
-        return SeminormResult(sigma, d, sigma <= SEMINORM_TOL, 0.0)
+        return SeminormResult(scale * sigma, scale * d, sigma <= SEMINORM_TOL, 0.0)
     value, d, lower = _barrier(t, d, sigma)
-    return SeminormResult(value, d, value - lower <= SEMINORM_TOL, lower)
+    return SeminormResult(scale * value, scale * d, value - lower <= SEMINORM_TOL, scale * lower)
 
 
 def correlation_seminorm(t) -> float:
@@ -217,7 +222,6 @@ def kappa_search(
     budget: int = 20,
     rng: np.random.Generator | None = None,
     cfg: SolveConfig | None = None,
-    m: int = 64,
 ) -> KappaEstimate:
     """Random plus local search minimizing radius/seminorm at dimension n.
 
@@ -236,7 +240,7 @@ def kappa_search(
         if sn.value <= 1e-12:
             return np.inf, t
         t_norm = (t - np.diag(sn.diagonal)) / sn.value
-        return radius(t_norm, m, cfg), t_norm
+        return radius(t_norm, KAPPA_DIRECTIONS, cfg), t_norm
 
     best_ratio, best_t = ratio(sparse_witness(n))
     starts = max(1, budget // 4)

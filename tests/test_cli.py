@@ -1,11 +1,32 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cnr import jsonio
-from cnr.cli import main
+from cnr.cli import _build_parser, main
+from cnr.decompose import certificate_from_obj
 from cnr.errors import DimensionMismatchError, MatrixParseError
+
+# The options each subcommand takes.  Its "config" lists the constants it
+# solves with, then the settings among these options: every option except
+# the files, the query point and --strict.
+OPTIONS = {
+    "range": "--input --directions --tol --restarts --seed --out --strict --csv --svg",
+    "radius": "--input --directions --tol --restarts --seed --out --strict",
+    "contains": "--input --directions --tol --restarts --seed --out --strict --re --im",
+    "decompose": "--input --tol --restarts --seed --out --strict",
+    "certify": "--input --tol --restarts --seed --out --strict",
+    "verify": "--input --cert --out",
+    "wuc": "--input --directions --tol --restarts --seed --samples --k-list --out --strict --svg",
+    "kappa": "--tol --restarts --seed --n --budget --out",
+    "cnorm": "--input --out --strict",
+    "check": "--seed --suite --n --count --out",
+}
+NOT_SETTINGS = {"--input", "--cert", "--re", "--im", "--out", "--csv", "--svg", "--strict"}
+FIXED = {"verify": ["tol_offdiag", "tol_trace"], "kappa": ["directions"], "cnorm": ["tol"]}
 
 
 @pytest.fixture
@@ -200,12 +221,16 @@ def test_strict_flags_exit_code(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(jsonio.matrix_obj(m)))
     out = tmp_path / "s.json"
-    # unreachable tolerance leaves the gap open; --strict must exit 3
-    code = main(["range", "--input", str(path), "--directions", "4", "--tol", "1e-300",
-                 "--restarts", "1", "--out", str(out), "--strict"])
-    assert code == 3
-    payload = json.loads(out.read_text())
-    assert any("gap_not_closed" in f for f in payload["flags"])
+    for command in ("range", "radius"):
+        # unreachable tolerance leaves the gap open; --strict must exit 3
+        code = main([command, "--input", str(path), "--directions", "4", "--tol", "1e-300",
+                     "--restarts", "1", "--out", str(out), "--strict"])
+        assert code == 3
+        payload = json.loads(out.read_text())
+        assert any("gap_not_closed" in f for f in payload["flags"])
+    # radius: grid solves are indexed 0..3, refinement solves from m + 1 = 5 on
+    ks = {int(f.split("@")[1]) for f in payload["flags"]}
+    assert {0, 1, 2, 3} <= ks and 4 not in ks and max(ks) > 4
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -214,6 +239,119 @@ def test_usage_errors_exit_2(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": 2, "rows": [[{"re": 0, "im": 0}]]}))
     assert main(["range", "--input", str(path)]) == 2
+
+
+def test_validators_exit_2(e12_file):
+    for flag, value in [("--directions", "2"), ("--tol", "0"), ("--tol", "-1e-8"),
+                        ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-5"),
+                        ("--directions", "x")]:
+        assert main(["range", "--input", e12_file, flag, value]) == 2
+
+
+def test_options_per_subcommand():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    declared = {
+        name: [s for a in p._actions for s in a.option_strings if s != "-h" and s != "--help"]
+        for name, p in sub.choices.items()
+    }
+    assert declared == {name: opts.split() for name, opts in OPTIONS.items()}
+    assert sum(len(v) for v in declared.values()) == 64
+
+
+REMOVED = [
+    ("decompose", "--directions 16"), ("certify", "--directions 16"),
+    ("verify", "--directions 16"), ("verify", "--tol 1e-9"), ("verify", "--restarts 2"),
+    ("verify", "--seed 1"), ("verify", "--strict"),
+    ("kappa", "--directions 16"), ("kappa", "--strict"),
+    ("cnorm", "--directions 16"), ("cnorm", "--tol 1e-9"), ("cnorm", "--restarts 2"),
+    ("cnorm", "--seed 1"),
+    ("check", "--directions 16"), ("check", "--tol 1e-9"), ("check", "--restarts 2"),
+    ("check", "--strict"),
+]
+
+
+@pytest.mark.parametrize("command,extra", REMOVED)
+def test_unread_options_rejected(e12_file, command, extra):
+    required = {"verify": ["--input", e12_file, "--cert", e12_file], "kappa": ["--n", "2"],
+                "check": []}
+    base = [command] + required.get(command, ["--input", e12_file])
+    parser = _build_parser()
+    parser.parse_args(base)  # accepted without the unread option
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(base + extra.split())
+    assert exc.value.code == 2
+    assert main(base + extra.split()) == 2
+
+
+def test_config_lists_declared_settings(tmp_path, e12_file, psdish_file):
+    out = tmp_path / "o.json"
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--input", psdish_file, "--out", str(cert)]) == 0
+    runs = {
+        "range": ["--input", e12_file, "--directions", "3"],
+        "radius": ["--input", e12_file, "--directions", "3"],
+        "contains": ["--input", e12_file, "--directions", "3", "--re", "0.1"],
+        "decompose": ["--input", psdish_file],
+        "verify": ["--input", psdish_file, "--cert", str(cert)],
+        "wuc": ["--input", e12_file, "--directions", "3", "--samples", "20", "--k-list", "1,2"],
+        "kappa": ["--n", "2", "--budget", "1"],
+        "cnorm": ["--input", e12_file],
+        "check": ["--suite", "duality", "--n", "2", "--count", "1"],
+    }
+    assert set(runs) | {"certify"} == set(OPTIONS)  # certify writes a bare certificate
+    for command, argv in runs.items():
+        assert main([command, *argv, "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        settings = [o[2:].replace("-", "_") for o in OPTIONS[command].split()
+                    if o not in NOT_SETTINGS]
+        assert list(config) == FIXED.get(command, []) + settings
+    assert config == {"seed": 0, "suite": "duality", "n": 2, "count": 1}
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda c: c["q"][0][0].pop("im"),
+        lambda c: c["q"][0][0].update(re="x"),
+        lambda c: c.update(q=5),
+        lambda c: c["q"].append([{"re": 0, "im": 0}]),
+        lambda c: c["D"].append({"re": 0, "im": 0}),
+        lambda c: c.update(n="two"),
+        lambda c: c.pop("D"),
+        lambda c: c.update(residual=[1]),
+        lambda c: c["D"][0].update(im=float("inf")),
+    ],
+    ids=["no-im", "re-text", "q-number", "extra-vector", "long-D", "n-text", "no-D",
+         "residual-list", "infinite"],
+)
+def test_malformed_certificate_exits_2(tmp_path, psdish_file, tamper):
+    cert = tmp_path / "bare.json"
+    assert main(["certify", "--input", psdish_file, "--out", str(cert)]) == 0
+    obj = json.loads(cert.read_text())
+    tamper(obj)
+    cert.write_text(json.dumps(obj))
+    with pytest.raises(MatrixParseError):
+        certificate_from_obj(json.loads(cert.read_text()))
+    assert main(["verify", "--input", psdish_file, "--cert", str(cert)]) == 2
+
+
+def test_readme_commands_parse():
+    # every command line the README shows must be accepted by the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(ln, comments=True) for ln in block.splitlines() if ln.strip()]
+    assert {words[1] for words in lines} == set(OPTIONS)
+    parser = _build_parser()
+    for words in lines:
+        assert words[0] == "cnr"
+        parser.parse_args(words[1:])
+    # and its table lists each subcommand's options as the parser declares them
+    table = {}
+    for row in readme.split("| subcommand | options |", 1)[1].split("\n\n")[0].splitlines()[2:]:
+        names, opts = row.strip("|").split("|")
+        for name in names.replace("`", "").split(","):
+            table[name.strip()] = opts.strip().strip("`")
+    assert table == OPTIONS
 
 
 def test_seed_env_fallback(tmp_path, e12_file, monkeypatch):

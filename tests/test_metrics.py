@@ -65,6 +65,34 @@ def test_seminorm_bracket(n, sparse):
             assert res.lower <= np.linalg.norm(t - np.diag(d), 2)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e-8, 1.0, 100.0, 1e8, 1e200])
+def test_seminorm_scale(c):
+    # homogeneity: the solve on c T is the solve on T scaled by c, certified
+    # at every scale (overflowing or underflowing barriers raise
+    # RuntimeWarnings, which fail the suite)
+    t = matcore.ginibre_random(8, np.random.default_rng(3))
+    ref = metrics.correlation_seminorm_full(t)
+    res = metrics.correlation_seminorm_full(c * t)
+    assert res.agreed
+    assert res.value / c == pytest.approx(ref.value, rel=1e-12)
+    assert res.value / c == pytest.approx(4.07539443881, abs=1e-10)
+    assert np.allclose(res.diagonal / c, ref.diagonal, rtol=0.0, atol=1e-10)
+    width = (res.value - res.lower) / c
+    assert 0.0 <= width <= metrics.SEMINORM_TOL * np.max(np.abs(t))
+
+
+def test_seminorm_centres_slow_levels():
+    # masked-sparse n = 16 input whose second barrier level needs 41 Newton
+    # steps to centre; cut off earlier, the bracket stayed 0.14 wide
+    rng = np.random.default_rng([4, 587])
+    t = matcore.ginibre_random(16, rng)
+    mask = rng.random((16, 16)) < 2.0 / 16
+    np.fill_diagonal(mask, False)
+    res = metrics.correlation_seminorm_full(t * mask)
+    assert res.agreed
+    assert 0.0 <= res.value - res.lower <= metrics.SEMINORM_TOL
+
+
 def test_seminorm_lower_bounds():
     # any diagonal shift keeps each off-diagonal entry and the mean diagonal
     rng = np.random.default_rng(1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -31,9 +32,9 @@ from .decompose import (
     verify_certificate,
 )
 from .crange import (
+    DIRECTIONS,
     SolveConfig,
     contains,
-    default_seed,
     matrix_hash,
     radius_full,
     range_boundary,
@@ -64,24 +65,28 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-# Options whose values a command reports under "config".
+# Options whose values a command reports under "config".  Solver defaults
+# come from the library module that reads the setting, which also rejects
+# values out of range (ValueError, exit 2).
 _SETTINGS = {
     "--directions": dict(
-        type=_checked(int, lambda m: m >= 3, "at least 3"), default=256, help="support grid size"
+        type=_checked(int, lambda m: m >= 3, "at least 3"), default=DIRECTIONS, help="support grid size"
     ),
     "--tol": dict(
         type=_checked(float, lambda t: 0.0 < t < math.inf, "positive and finite"),
-        default=1e-8,
+        default=SolveConfig.tol,
         help="certification gap tolerance",
     ),
-    "--restarts": dict(type=int, default=8, help="ascent restarts per direction"),
+    "--restarts": dict(type=int, default=SolveConfig.restarts, help="ascent restarts per direction"),
     "--seed": dict(
         type=_checked(int, lambda s: s >= 0, "nonnegative"), help="seed (default: CNR_SEED, else 0)"
     ),
-    "--samples": dict(type=int, default=2000, help="sampled unitary tuples"),
-    "--k-list": dict(type=_int_list, default="1,2,4,8,16", help="inner dimensions, comma separated"),
+    "--samples": dict(type=int, default=ucrange.DEFAULT_SAMPLES, help="sampled unitary tuples"),
+    "--k-list": dict(
+        type=_int_list, default=list(ucrange.DEFAULT_K_LIST), help="inner dimensions, comma separated"
+    ),
     "--n": dict(type=int, default=4, help="matrix dimension"),
-    "--budget": dict(type=int, default=20, help="radius/seminorm evaluations"),
+    "--budget": dict(type=int, default=metrics.KAPPA_BUDGET, help="radius/seminorm evaluations"),
     "--suite": dict(default="basic", help="basic|duality|decompose|metrics|ucrange|all"),
     "--count": dict(type=int, help="instances per check (default: the suite's own)"),
 }
@@ -108,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **{**_OPTIONS[flag], **cmd.overrides.get(flag, {})})
         if "--seed" in flags:
-            # CNR_SEED is read at parse time and validated like a given --seed
-            p.set_defaults(seed=str(default_seed()))
+            # CNR_SEED is read here only, and validated like a given --seed
+            p.set_defaults(seed=os.environ.get("CNR_SEED", str(SolveConfig.seed)))
     return ap
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,30 +30,26 @@ from .errors import RangeNotRealError
 
 FLAG_GAP = "gap_not_closed"
 IMPROVE_TOL = 1e-13  # ascent plateau: per-sweep gain at or below this
+MAX_SWEEPS = 5000  # ascent sweeps per restart
+DIRECTIONS = 256  # default support grid of boundaries, radius and membership
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def default_seed() -> int:
-    try:
-        return int(os.environ.get("CNR_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Solver configuration shared by all support solves.
 
-    cancel is an optional zero-argument callable polled between ascent
-    chunks and restarts; returning True aborts the solve with
+    The CLI reads its defaults from these fields; restarts must be at least
+    1, and seed (never read from the environment) and counter seed every
+    random restart.  cancel is an optional zero-argument callable polled
+    between ascent chunks and restarts; returning True aborts the solve with
     CancelledError (cooperative cancellation for long batch runs).
     """
 
     tol: float = 1e-8
     restarts: int = 8
-    max_sweeps: int = 5000
-    seed: int | None = None
+    seed: int = 0
     counter: int = 0
     cancel: object = None
 
@@ -63,8 +58,7 @@ class SolveConfig:
         return replace(self, counter=self.counter * 1000003 + k + 1)
 
     def rng(self, restart: int) -> np.random.Generator:
-        seed = self.seed if self.seed is not None else default_seed()
-        return np.random.default_rng([seed, self.counter, restart])
+        return np.random.default_rng([self.seed, self.counter, restart])
 
     def check_cancelled(self) -> None:
         if self.cancel is not None and self.cancel():
@@ -266,10 +260,11 @@ def polish_dual(h, y0, target, stop_tol=1e-12):
     return best
 
 
-def support_direction(a, theta: float, cfg: SolveConfig | None = None) -> SupportResult:
+def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> SupportResult:
     """Certified support value of the range of A in direction theta."""
+    if cfg.restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {cfg.restarts}")
     a = matcore.as_matrix(a)
-    cfg = cfg or SolveConfig()
     n = a.shape[0]
     h = rotated_hermitian_part(a, theta)
 
@@ -280,11 +275,11 @@ def support_direction(a, theta: float, cfg: SolveConfig | None = None) -> Suppor
     certified = False
     polishes = 0
     chunk = 150
-    for restart in range(max(1, cfg.restarts)):
+    for restart in range(cfg.restarts):
         cfg.check_cancelled()
         v = _start(n, restart, cfg)
         value = -np.inf
-        sweeps_left = cfg.max_sweeps
+        sweeps_left = MAX_SWEEPS
         while not certified:
             cfg.check_cancelled()
             v, value, plateaued = _ascend(h, v, min(chunk, sweeps_left), value)
@@ -332,13 +327,12 @@ def support_direction(a, theta: float, cfg: SolveConfig | None = None) -> Suppor
     )
 
 
-def range_boundary(a, m: int = 256, cfg: SolveConfig | None = None) -> RangeBoundary:
+def range_boundary(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> RangeBoundary:
     """Support solves at theta_k = 2 pi k / m; the hull of the witness points
     and the intersection of the supporting half-planes sandwich the range."""
     if m < 3:
         raise ValueError("need at least 3 directions")
     a = matcore.as_matrix(a)
-    cfg = cfg or SolveConfig()
     samples = [
         support_direction(a, 2.0 * math.pi * k / m, cfg.derive(k)) for k in range(m)
     ]
@@ -378,12 +372,11 @@ def _refine(a, m: int, cfg: SolveConfig, theta0: float, objective):
     return (lo + hi) / 2.0, max(f1, f2), tuple(flags)
 
 
-def radius_full(a, m: int = 256, cfg: SolveConfig | None = None) -> tuple[float, tuple[str, ...]]:
+def radius_full(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> tuple[float, tuple[str, ...]]:
     """Largest modulus over the range: grid maximum of the support values,
     refined by golden section near the argmax.  Returns the radius and the
     flags of every support solve it ran, grid and refinement."""
     a = matcore.as_matrix(a)
-    cfg = cfg or SolveConfig()
     boundary = range_boundary(a, m, cfg)
     values = boundary.supports()
     k = int(np.argmax(values))
@@ -391,15 +384,14 @@ def radius_full(a, m: int = 256, cfg: SolveConfig | None = None) -> tuple[float,
     return max(float(values[k]), float(refined)), boundary.flags() + flags
 
 
-def radius(a, m: int = 256, cfg: SolveConfig | None = None) -> float:
+def radius(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> float:
     return radius_full(a, m, cfg)[0]
 
 
-def contains(a, point: complex, m: int = 256, cfg: SolveConfig | None = None) -> Containment:
+def contains(a, point: complex, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> Containment:
     """Membership via supporting half-planes: the point is inside iff
     Re(exp(-i theta) point) <= h(theta) for every direction."""
     a = matcore.as_matrix(a)
-    cfg = cfg or SolveConfig()
     point = complex(point)
     boundary = range_boundary(a, m, cfg)
     values = boundary.supports()
@@ -440,7 +432,7 @@ def real_range_screen(a) -> np.ndarray:
     return s
 
 
-def min_real_value(a, cfg: SolveConfig | None = None) -> SupportResult:
+def min_real_value(a, cfg: SolveConfig = SolveConfig()) -> SupportResult:
     """Certified minimum of a real range, solved as the support direction pi
     of the Hermitian part.  The minimum is the ``minimum`` property (negated
     support value); the witness point attains it."""

@@ -82,7 +82,7 @@ class VerificationReport:
     entry_max: float
 
 
-def nonnegativity_test(a, cfg: SolveConfig | None = None) -> NonnegativityResult:
+def nonnegativity_test(a, cfg: SolveConfig = SolveConfig()) -> NonnegativityResult:
     """Screen the imaginary part, then certify the sign of the range minimum.
 
     margin is the dual lower bound on the minimum; the verdict is
@@ -98,7 +98,7 @@ def nonnegativity_test(a, cfg: SolveConfig | None = None) -> NonnegativityResult
     )
 
 
-def decompose(a, cfg: SolveConfig | None = None) -> Decomposition:
+def decompose(a, cfg: SolveConfig = SolveConfig()) -> Decomposition:
     """Construct the PSD + trace-zero-diagonal split, or prove none exists.
 
     The dual diagonal comes from the same solve that certifies the range
@@ -107,7 +107,6 @@ def decompose(a, cfg: SolveConfig | None = None) -> Decomposition:
     """
     a = matcore.as_matrix(a)
     nn = nonnegativity_test(a, cfg)
-    cfg = cfg or SolveConfig()
     s, k = matcore.hermitian_parts(a)
     if not nn.nonnegative:
         raise NotDecomposableError(

@@ -33,6 +33,7 @@ CENTRE_STEPS = 100
 MU_SHRINK = 0.02
 END_TOL = 1e-10
 KAPPA_DIRECTIONS = 64  # support grid of the radius inside kappa_search
+KAPPA_BUDGET = 20  # default radius/seminorm evaluations of kappa_search
 
 
 @dataclass
@@ -219,9 +220,9 @@ def sparse_witness(n: int) -> np.ndarray:
 
 def kappa_search(
     n: int,
-    budget: int = 20,
+    budget: int = KAPPA_BUDGET,
     rng: np.random.Generator | None = None,
-    cfg: SolveConfig | None = None,
+    cfg: SolveConfig = SolveConfig(),
 ) -> KappaEstimate:
     """Random plus local search minimizing radius/seminorm at dimension n.
 
@@ -232,8 +233,9 @@ def kappa_search(
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    cfg = cfg or SolveConfig()
 
     def ratio(t: np.ndarray) -> tuple[float, np.ndarray]:
         sn = correlation_seminorm_full(t)
@@ -278,7 +280,7 @@ def kappa_search(
 
 
 def direct_sum_check(
-    s1, s2, cfg: SolveConfig | None = None, m: int = 64
+    s1, s2, cfg: SolveConfig = SolveConfig(), m: int = 64
 ) -> DirectSumReport:
     """Compare the range of S1 (+) S2 against the weighted Minkowski
     combination of the block ranges, via support functions on a shared grid
@@ -287,7 +289,6 @@ def direct_sum_check(
 
     s1 = matcore.as_matrix(s1)
     s2 = matcore.as_matrix(s2)
-    cfg = cfg or SolveConfig()
     k1, k2 = s1.shape[0], s2.shape[0]
     n = k1 + k2
     a = np.zeros((n, n), dtype=np.complex128)

@@ -23,6 +23,7 @@ from .errors import NotUnitaryError
 
 UNITARY_TOL = 1e-10
 DEFAULT_K_LIST = (1, 2, 4, 8, 16)
+DEFAULT_SAMPLES = 2000
 
 
 @dataclass
@@ -123,7 +124,7 @@ def disk_tuples_2x2(k: int, radii, phases) -> list[UnitaryTuple]:
 def wuc_inner(
     t,
     k_list=DEFAULT_K_LIST,
-    samples: int = 2000,
+    samples: int = DEFAULT_SAMPLES,
     rng: np.random.Generator | None = None,
 ) -> WucApproximation:
     """Inner approximation of the induced range of T.
@@ -135,10 +136,12 @@ def wuc_inner(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
+    k_list = [int(k) for k in k_list]
+    if not k_list:
+        raise ValueError("k_list must name at least one inner dimension")
     t = matcore.as_matrix(t)
     n = t.shape[0]
     rng = rng if rng is not None else np.random.default_rng(0)
-    k_list = [int(k) for k in k_list]
 
     tuples: list[UnitaryTuple] = []
     n_grid = 0
@@ -182,10 +185,10 @@ def wuc_inner(
 
 def compare_ranges(
     t,
-    cfg: SolveConfig | None = None,
+    cfg: SolveConfig = SolveConfig(),
     m: int = 128,
     k_list=DEFAULT_K_LIST,
-    samples: int = 2000,
+    samples: int = DEFAULT_SAMPLES,
     rng: np.random.Generator | None = None,
     boundary: RangeBoundary | None = None,
     approx: WucApproximation | None = None,

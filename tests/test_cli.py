@@ -241,11 +241,38 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["range", "--input", str(path)]) == 2
 
 
-def test_validators_exit_2(e12_file):
+def test_validators_exit_2(e12_file, capsys):
     for flag, value in [("--directions", "2"), ("--tol", "0"), ("--tol", "-1e-8"),
                         ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-5"),
-                        ("--directions", "x")]:
+                        ("--directions", "x"), ("--restarts", "0"), ("--restarts", "-3")]:
         assert main(["range", "--input", e12_file, flag, value]) == 2
+        assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "--n", "2", "--budget", "0"],
+        ["kappa", "--n", "2", "--budget", "-5"],
+        ["check", "--suite", "duality", "--n", "2", "--count", "0"],
+        ["wuc", "--input", "E12", "--k-list", ",", "--samples", "20", "--directions", "3"],
+    ],
+    ids=["budget-0", "budget-negative", "count-0", "k-list-empty"],
+)
+def test_rejected_settings_exit_2(e12_file, capsys, argv):
+    # out-of-range counts are rejected, not clamped and reported as given
+    argv = [e12_file if word == "E12" else word for word in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_check_all_suites_n1(tmp_path, capsys):
+    # a 1 x 1 range is one point, real for every matrix: no check may fail on it
+    out = tmp_path / "c.json"
+    assert main(["check", "--suite", "all", "--n", "1", "--seed", "0", "--out", str(out)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert json.loads(out.read_text())["result"]["passed"] is True
 
 
 def test_options_per_subcommand():
@@ -363,6 +390,9 @@ def test_seed_env_fallback(tmp_path, e12_file, monkeypatch):
     assert main(["range", "--input", e12_file, "--directions", "8", "--out", str(out2),
                  "--seed", "99"]) == 0
     assert json.loads(out1.read_text())["config"] == json.loads(out2.read_text())["config"]
+    for value in ("abc", "-4"):  # validated like a given --seed, never read as 0
+        monkeypatch.setenv("CNR_SEED", value)
+        assert main(["range", "--input", e12_file, "--directions", "8", "--out", str(out1)]) == 2
 
 
 def test_deterministic_json_float_format():

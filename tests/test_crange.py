@@ -75,9 +75,17 @@ def test_support_determinism():
     assert np.array_equal(r1.dual_y, r2.dual_y)
 
 
+def test_rng_ignores_environment(monkeypatch):
+    # the library's seed defaults to 0; CNR_SEED is an input of the CLI only
+    monkeypatch.delenv("CNR_SEED", raising=False)
+    plain = crange.SolveConfig().rng(1).standard_normal(4)
+    monkeypatch.setenv("CNR_SEED", "5")
+    assert np.array_equal(crange.SolveConfig().rng(1).standard_normal(4), plain)
+
+
 def test_gap_not_closed_flagging():
     a = matcore.ginibre_random(5, np.random.default_rng(8))
-    cfg = crange.SolveConfig(tol=1e-16, restarts=1, max_sweeps=3)
+    cfg = crange.SolveConfig(tol=1e-16, restarts=1)
     res = crange.support_direction((a + a.conj().T) / 2.0, 0.0, cfg)
     assert not res.certified and "gap_not_closed" in res.flags
     assert res.gap > 1e-16  # still a valid two-sided bracket

@@ -112,10 +112,17 @@ def _build_parser() -> argparse.ArgumentParser:
         flags = cmd.options.split()
         for flag in flags:
             p.add_argument(flag, **{**_OPTIONS[flag], **cmd.overrides.get(flag, {})})
-        if "--seed" in flags:
-            # CNR_SEED is read here only, and validated like a given --seed
-            p.set_defaults(seed=os.environ.get("CNR_SEED", str(SolveConfig.seed)))
     return ap
+
+
+def _env_seed(args) -> None:
+    """Without --seed: CNR_SEED (read here only), else 0, checked like --seed."""
+    if getattr(args, "seed", 0) is None:
+        text = os.environ.get("CNR_SEED", str(SolveConfig.seed))
+        try:
+            args.seed = _SETTINGS["--seed"]["type"](text)
+        except (argparse.ArgumentTypeError, ValueError):
+            raise ValueError(f"CNR_SEED must be a nonnegative integer, got {text!r}") from None
 
 
 def _config(args) -> SolveConfig:
@@ -378,6 +385,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _env_seed(args)
         return _COMMANDS[args.command].run(args)
     except (MatrixParseError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

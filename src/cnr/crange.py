@@ -9,10 +9,10 @@ theta the support problem is
 
 an SDP over the elliptope.  Each solve returns two-sided bounds: the feasible
 maximizer B gives the attained value (lower bound), and a real diagonal y
-with diag(y) - H PSD gives the upper bound mean(y).  The solver itself is
-block-coordinate ascent on a unit-vector Gram factor of B; the dual
-certificate turns the heuristic ascent into a rigorous bracket and triggers
-restarts at non-global fixed points.
+with diag(y) - H PSD gives the upper bound mean(y).  Each restart runs one
+chunk of block-coordinate ascent on a unit-vector Gram factor of B against
+its slackness dual; an open bracket goes to a centred log-det barrier path
+on the dual (polish_dual), whose interior end point also yields a primal.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import RangeNotRealError
 
 FLAG_GAP = "gap_not_closed"
 IMPROVE_TOL = 1e-13  # ascent plateau: per-sweep gain at or below this
-MAX_SWEEPS = 5000  # ascent sweeps per restart
+MAX_SWEEPS = 150  # ascent sweeps per restart
 DIRECTIONS = 256  # default support grid of boundaries, radius and membership
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -43,8 +43,8 @@ class SolveConfig:
     The CLI reads its defaults from these fields; restarts must be at least
     1, and seed (never read from the environment) and counter seed every
     random restart.  cancel is an optional zero-argument callable polled
-    between ascent chunks and restarts; returning True aborts the solve with
-    CancelledError (cooperative cancellation for long batch runs).
+    once per restart; returning True aborts the solve with CancelledError
+    (cooperative cancellation for long batch runs).
     """
 
     tol: float = 1e-8
@@ -71,11 +71,11 @@ class SolveConfig:
 class SupportResult:
     """Certified solve of one support direction.
 
-    value is attained by the maximizer (lower bound); mean(dual_y) is an
-    upper bound whenever diag(dual_y) - H is PSD, which holds for every
-    result this module returns (up to the 1e-10 eigenvalue tolerance).
-    gap = mean(dual_y) - value.  flags is empty for certified solves and
-    contains "gap_not_closed" when the bracket stayed wider than cfg.tol.
+    value is attained by the maximizer (lower bound), Gram rows from an
+    ascent chunk; mean(dual_y) is an upper bound, as diag(dual_y) - H is PSD
+    (repaired slackness dual) or positive definite (barrier iterate).
+    gap = mean(dual_y) - value.  flags is empty for certified solves: gap
+    plus the rounding floor of H's off-diagonal part is at most cfg.tol.
     """
 
     theta: float
@@ -162,31 +162,30 @@ def rotated_hermitian_part(a: np.ndarray, theta: float) -> np.ndarray:
     return math.cos(theta) * s + math.sin(theta) * k
 
 
-def _ascend(h: np.ndarray, v: np.ndarray, max_sweeps: int, prev: float = -np.inf):
+def _ascend(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Block-coordinate ascent on the Gram rows of B.
 
     Row update: e_i <- c_i / ||c_i|| with c_i the H-weighted sum of the other
     rows; a zero c_i leaves e_i unchanged (any unit vector is then optimal,
-    keeping the current one is the deterministic tie-break).  Returns
-    (rows, value, plateaued); plateaued means the per-sweep improvement fell
-    below IMPROVE_TOL before the sweep budget ran out.
+    keeping the current one is the deterministic tie-break).  Runs until the
+    per-sweep improvement falls to IMPROVE_TOL, at most MAX_SWEEPS sweeps, and
+    returns the rows.
     """
     n = h.shape[0]
     hoff = h.copy()
     np.fill_diagonal(hoff, 0.0)
-    val = prev
-    for _ in range(max_sweeps):
+    prev = -np.inf
+    for _ in range(MAX_SWEEPS):
         for i in range(n):
             u = hoff[i] @ v
-            nu = np.linalg.norm(u)
+            nu = math.sqrt(np.vdot(u, u).real)
             if nu > 0.0:
                 v[i] = u / nu
-        b = v @ v.conj().T
-        val = float(np.sum(h * b.T).real) / n
+        val = float(np.vdot(v, h @ v).real) / n
         if val - prev <= IMPROVE_TOL:
-            return v, val, True
+            break
         prev = val
-    return v, val, False
+    return v
 
 
 def _start(n: int, restart: int, cfg: SolveConfig) -> np.ndarray:
@@ -201,129 +200,121 @@ def repair_dual(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y - lam if lam < 0.0 else y
 
 
+def _rounding_floor(h: np.ndarray) -> float:
+    """8 n eps (1 + max|H|): the resolution of mean(y) and of tr(HB)/n."""
+    return 8.0 * h.shape[0] * np.finfo(float).eps * (1.0 + float(np.max(np.abs(h))))
+
+
 def polish_dual(h, y0, target, stop_tol=1e-12):
     """Minimize mean(y) over feasible duals diag(y) - H >= 0.
 
-    Short barrier path: damped Newton steps on
-    mean(y) - mu * logdet(diag(y) - H) for a decreasing mu schedule.  The
-    gradient and Hessian come from the inverse slack matrix; the barrier
-    suboptimality at level mu is n*mu, so the final mu puts the mean within
-    stop_tol of the true dual optimum.  stop_tol, and so the final mu, is
-    floored at 8 n eps (1 + max|H|): below the eigensolves' resolution the
-    Newton steps only grow until they overflow.  Returns the best
-    exactly-feasible iterate seen (the warm start is kept if no step
-    improves on it).
+    Centred barrier path: damped Newton steps on mean(y) - mu logdet(diag(y)
+    - H), with a Cholesky line search and an Armijo test, until the decrement
+    is at most 1e-3 mu; mu starts at (mean(y0) - target) / n, shrinks 10x per
+    level and ends once n mu <= stop_tol / 4, with stop_tol floored at
+    8 n eps (1 + max|H|).  At a centred point the unit-diagonal rescaling of
+    (diag(y) - H)^-1 is a primal within about n mu of mean(y).  Returns the
+    repaired warm start if it is within stop_tol of target, else the last
+    centred iterate, which is strictly interior.
     """
     n = h.shape[0]
-    scale = 1.0 + float(np.max(np.abs(h)))
-    stop_tol = max(stop_tol, 8.0 * n * np.finfo(float).eps * scale)
+    eps_floor = _rounding_floor(h)
+    stop_tol = max(stop_tol, eps_floor)
     y = repair_dual(h, np.asarray(y0, dtype=float))
-    best = y.copy()
-    best_mean = float(np.mean(y))
-    if best_mean - target <= stop_tol:
-        return best
-    y = y + 1e-6 * scale  # strictly interior start
-    mu = 1e-6 * scale
-    while mu > stop_tol / (4.0 * n):
-        for _ in range(2):
-            dec = matcore.hermitian_eigs(np.diag(y) - h)
-            lam = dec.eigenvalues
-            if lam[0] <= 0.0:  # fell out of the cone: back off
-                y = y - lam[0] + mu
-                dec = matcore.hermitian_eigs(np.diag(y) - h)
-                lam = dec.eigenvalues
-            q = dec.eigenvectors
-            zinv = (q / lam[None, :]) @ q.conj().T
-            grad = np.full(n, 1.0 / n) - mu * np.diag(zinv).real
-            hess = mu * np.abs(zinv) ** 2
+    gap = float(np.mean(y)) - target
+    if gap <= stop_tol:
+        return y
+    mu = gap / n
+    y = y + gap  # strictly interior start: gap exceeds the rounding floor
+
+    def barrier(y):
+        """Barrier value and Cholesky factor L of diag(y) - H; (inf, None) outside."""
+        try:
+            c = np.linalg.cholesky(np.diag(y) - h)
+        except np.linalg.LinAlgError:
+            return np.inf, None
+        return float(np.mean(y)) - 2.0 * mu * float(np.sum(np.log(np.diag(c).real))), c
+
+    while True:
+        f, c = barrier(y)
+        if c is None:  # rounding put the start outside the cone
+            return y - gap
+        for _ in range(100):
+            g = np.linalg.inv(c)
+            w = g.conj().T @ g  # (diag(y) - H)^-1 = L^-* L^-1, Hermitian by construction
+            grad = 1.0 / n - mu * np.diag(w).real
             try:
-                dy = np.linalg.solve(hess + 1e-300 * np.eye(n), -grad)
-            except np.linalg.LinAlgError:
-                dy = -grad
-            t = 1.0
-            for _ in range(30):
-                lam_new = matcore.hermitian_eigs(np.diag(y + t * dy) - h).eigenvalues[0]
-                if lam_new > 0.0:
+                dy = np.linalg.solve(mu * np.abs(w) ** 2, -grad)
+            except np.linalg.LinAlgError:  # Hessian singular at rounding level
+                return y
+            slope = float(grad @ dy)
+            for t in 0.5 ** np.arange(30):
+                f_new, c_new = barrier(y + t * dy)
+                if f_new <= f + 0.25 * t * slope + eps_floor:
                     break
-                t *= 0.5
             else:
-                t = 0.0
-            y = y + t * dy
-            yf = repair_dual(h, y)
-            mf = float(np.mean(yf))
-            if mf < best_mean:
-                best_mean = mf
-                best = yf
-            if best_mean - target <= stop_tol:
-                return best
+                break
+            y, f, c = y + t * dy, f_new, c_new
+            if -slope <= 1e-3 * mu:
+                break
+        if n * mu <= stop_tol / 4.0:
+            return y
         mu *= 0.1
-    return best
 
 
 def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> SupportResult:
-    """Certified support value of the range of A in direction theta."""
+    """Certified support value of the range of A in direction theta.
+
+    Each restart runs one ascent chunk and checks it against its slackness
+    dual; if that bracket is open, polish_dual's barrier path tightens the
+    dual, and a second ascent chunk from its interior primal tightens the
+    primal.  The result keeps the best primal and the best dual seen."""
     if cfg.restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {cfg.restarts}")
     a = matcore.as_matrix(a)
     n = a.shape[0]
     h = rotated_hermitian_part(a, theta)
+    # B's unit diagonal makes diag(H) add mean(d) to every value; solving
+    # without it keeps its rounding out of diag(y) - H and of the gap
+    d = np.diag(h).real
+    h = h - np.diag(d)
+    floor = _rounding_floor(h)  # certify a gap of tol only with rounding counted
 
-    best_value = -np.inf
-    best_v = None
-    best_dual = np.inf
-    best_y = None
-    certified = False
-    polishes = 0
-    chunk = 150
+    best_value, best_v, best_dual, best_y = -np.inf, None, np.inf, None
+
+    def keep(v, y) -> bool:
+        nonlocal best_value, best_v, best_dual, best_y
+        value = float(np.vdot(v, h @ v).real) / n
+        if value > best_value:
+            best_value, best_v = value, v
+        if float(np.mean(y)) < best_dual:
+            best_dual, best_y = float(np.mean(y)), y
+        return best_dual - best_value + floor <= cfg.tol
+
     for restart in range(cfg.restarts):
         cfg.check_cancelled()
-        v = _start(n, restart, cfg)
-        value = -np.inf
-        sweeps_left = MAX_SWEEPS
-        while not certified:
-            cfg.check_cancelled()
-            v, value, plateaued = _ascend(h, v, min(chunk, sweeps_left), value)
-            sweeps_left -= chunk
-            b = v @ v.conj().T
-            y = repair_dual(h, np.diag(h @ b).real.copy())
-            mean_y = float(np.mean(y))
-            if value > best_value:
-                best_value = value
-                best_v = v.copy()
-            if mean_y < best_dual:
-                best_dual = mean_y
-                best_y = y
-            if best_dual - best_value <= cfg.tol:
-                certified = True
-            elif plateaued or sweeps_left <= 0:
-                break
-        if certified:
+        v = _ascend(h, _start(n, restart, cfg))
+        if keep(v, repair_dual(h, np.sum((h @ v) * v.conj(), axis=1).real)):
             break
-        if best_dual - best_value <= 1e-4 and polishes < 2:
-            # near miss: the ascent is at the optimum but the slackness-based
-            # dual candidate is slightly loose; tighten it directly
-            polishes += 1
-            y = polish_dual(h, best_y, best_value, stop_tol=cfg.tol / 4.0)
-            mean_y = float(np.mean(y))
-            if mean_y < best_dual:
-                best_dual = mean_y
-                best_y = y
-            if best_dual - best_value <= cfg.tol:
-                certified = True
-                break
+        y = polish_dual(h, best_y, best_value, stop_tol=cfg.tol / 4.0)
+        try:  # rows of the unit-diagonal rescaling of (diag(y) - H)^-1 = G* G,
+            # G = L^-1 for the Cholesky factor L; ascent polishes that primal
+            g = np.linalg.inv(np.linalg.cholesky(np.diag(y) - h))
+            v = _ascend(h, (g / np.linalg.norm(g, axis=0)).conj().T)
+        except np.linalg.LinAlgError:  # a warm start on the cone's boundary
+            pass
+        if keep(v, y):
+            break
 
     gap = best_dual - best_value
-    flags = () if certified else (FLAG_GAP,)
-    b_best = best_v @ best_v.conj().T
-    witness = complex(np.sum(a * b_best.T)) / n
     return SupportResult(
         theta=float(theta),
-        value=best_value,
+        value=best_value + float(np.mean(d)),
         maximizer=GramFactor(best_v),
-        witness_point=witness,
-        dual_y=best_y,
+        witness_point=complex(np.vdot(best_v, a @ best_v)) / n,
+        dual_y=best_y + d,
         gap=float(gap),
-        flags=flags,
+        flags=() if gap + floor <= cfg.tol else (FLAG_GAP,),
     )
 
 

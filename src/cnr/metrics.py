@@ -226,10 +226,10 @@ def kappa_search(
 ) -> KappaEstimate:
     """Random plus local search minimizing radius/seminorm at dimension n.
 
-    The canonical sparse witness is always in the start set, so best_ratio
-    never exceeds its ratio (about 1/n).  A result below the proven lower
-    bound 1/(4n+2) would contradict the bracket and is flagged rather than
-    silently accepted.
+    budget counts radius/seminorm evaluations, the first on the canonical
+    sparse witness, so best_ratio never exceeds its ratio (about 1/n).  A
+    result below the proven lower bound 1/(4n+2) would contradict the
+    bracket and is flagged rather than silently accepted.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -245,7 +245,8 @@ def kappa_search(
         return radius(t_norm, KAPPA_DIRECTIONS, cfg), t_norm
 
     best_ratio, best_t = ratio(sparse_witness(n))
-    starts = max(1, budget // 4)
+    rest = budget - 1  # evaluations left after the sparse witness
+    starts = min(rest, max(1, rest // 4))
     for s in range(starts):
         t = matcore.ginibre_random(n, rng)
         if s % 2 == 1:  # sparse starts: the known extremal shape
@@ -257,7 +258,7 @@ def kappa_search(
         r, tn = ratio(t)
         if r < best_ratio:
             best_ratio, best_t = r, tn
-        for _ in range(max(0, budget // starts - 1)):
+        for _ in range(rest // starts - 1 + (s < rest % starts)):
             step = 0.3 * rng.standard_normal((n, n)) + 0.3j * rng.standard_normal((n, n))
             r2, tn2 = ratio(tn + step)
             if r2 < r:

@@ -381,7 +381,7 @@ def test_readme_commands_parse():
     assert table == OPTIONS
 
 
-def test_seed_env_fallback(tmp_path, e12_file, monkeypatch):
+def test_seed_env_fallback(tmp_path, e12_file, monkeypatch, capsys):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"
     monkeypatch.setenv("CNR_SEED", "99")
@@ -390,9 +390,14 @@ def test_seed_env_fallback(tmp_path, e12_file, monkeypatch):
     assert main(["range", "--input", e12_file, "--directions", "8", "--out", str(out2),
                  "--seed", "99"]) == 0
     assert json.loads(out1.read_text())["config"] == json.loads(out2.read_text())["config"]
+    capsys.readouterr()
     for value in ("abc", "-4"):  # validated like a given --seed, never read as 0
         monkeypatch.setenv("CNR_SEED", value)
         assert main(["range", "--input", e12_file, "--directions", "8", "--out", str(out1)]) == 2
+        captured = capsys.readouterr()
+        # the one error line names the variable, not the --seed option
+        assert captured.out == ""
+        assert captured.err == f"error: CNR_SEED must be a nonnegative integer, got '{value}'\n"
 
 
 def test_deterministic_json_float_format():

@@ -258,3 +258,54 @@ def test_cooperative_cancellation():
     cfg = crange.SolveConfig(tol=1e-300, restarts=8, cancel=stop_after_two)
     with pytest.raises(CancelledError):
         crange.support_direction((a + a.conj().T) / 2.0, 0.0, cfg)
+
+
+def _boundary_input(seed, op):
+    """Matrix of the benchmark's boundary operation op: n cycles 3, 4, 4."""
+    rng = np.random.default_rng([seed, op])
+    n = (3, 4, 4)[op % 3]
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+
+
+# (seed, op, k) at theta = 2 pi k / 32: two directions where 5000 ascent
+# sweeps stalled at a gap of 1.2-1.3e-8, and a near miss whose 150-sweep
+# ascent value stops 5e-8 short of an exact slackness dual
+HARD_DIRECTIONS = [(1, 27, 1), (2, 42, 11), (1, 26, 2)]
+HARD_IDS = ["stalled-s1-op27", "stalled-s2-op42", "near-miss-s1-op26"]
+
+
+@pytest.mark.parametrize("seed,op,k", HARD_DIRECTIONS, ids=HARD_IDS)
+def test_hard_direction_certifies_in_first_restart(seed, op, k):
+    cfg = crange.SolveConfig(restarts=1)
+    res = crange.support_direction(_boundary_input(seed, op), 2.0 * np.pi * k / 32, cfg)
+    assert res.certified and res.gap <= cfg.tol
+
+
+@pytest.mark.parametrize("seed,op,k", HARD_DIRECTIONS, ids=HARD_IDS)
+def test_polish_dual_ends_centred_and_interior(seed, op, k):
+    h = crange.rotated_hermitian_part(_boundary_input(seed, op), 2.0 * np.pi * k / 32)
+    n = h.shape[0]
+    # warm start from B = I: its repaired slackness dual, and tr(H)/n
+    y0 = crange.repair_dual(h, np.diag(h).real.copy())
+    stop_tol = 2.5e-9
+    y = crange.polish_dual(h, y0, float(np.trace(h).real) / n, stop_tol=stop_tol)
+    z = np.diag(y) - h
+    np.linalg.cholesky(z)  # strictly interior
+    w = np.linalg.inv(z)
+    w = (w + w.conj().T) / 2.0  # z's condition number is about 1e11 here
+    d = 1.0 / np.sqrt(np.diag(w).real)
+    b = validate_correlation(d[:, None] * w * d[None, :]).matrix
+    value = float(np.sum(h * b.T).real) / n
+    assert -1e-12 <= float(np.mean(y)) - value <= stop_tol
+
+
+def test_large_diagonal_keeps_certificate():
+    # diag(H) adds mean(diag H) to every value; its rounding must cost
+    # neither the certificate nor accuracy where it dwarfs the rest of H
+    a = matcore.ginibre_random(8, np.random.default_rng(0))
+    cfg = crange.SolveConfig(restarts=1)
+    for th in (0.0, 0.3, np.pi):
+        base = crange.support_direction(a, th, cfg)
+        res = crange.support_direction(a + 1e6 * np.eye(8), th, cfg)
+        assert base.certified and res.certified
+        assert res.value == pytest.approx(base.value + 1e6 * np.cos(th), abs=1e-8)

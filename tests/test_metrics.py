@@ -194,3 +194,13 @@ def test_direct_sum_random_blocks():
         rep = metrics.direct_sum_check(s1, s2, m=24)
         assert rep.max_support_dev <= 1e-7
         assert rep.hausdorff <= 1e-6
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 7, 9, 20])
+def test_kappa_search_runs_budget_evaluations(monkeypatch, budget):
+    # --budget is the number of radius/seminorm evaluations, the sparse
+    # witness included
+    calls = []
+    monkeypatch.setattr(metrics, "radius", lambda t, m, cfg: calls.append(t) or 1.0)
+    metrics.kappa_search(3, budget=budget, rng=np.random.default_rng(0))
+    assert len(calls) == budget

@@ -22,7 +22,7 @@ from .decompose import (
     sos_certificate,
     verify_certificate,
 )
-from .crange import SolveConfig, classical_support, radius, range_boundary, support_direction
+from .crange import classical_support, radius, range_boundary, support_direction
 from .elliptope import validate_correlation
 from .errors import CnrError, NotDecomposableError
 
@@ -67,16 +67,14 @@ BASIC_BOUNDS = {
 def basic_suite(n: int, seed: int, count: int = 12) -> list[CheckResult]:
     """Support-function identities on seeded random matrices."""
     rng = np.random.default_rng([seed, n])
-    cfg = SolveConfig(seed=seed)
     m = BASIC_DIRECTIONS
     results: list[CheckResult] = []
     worst = dict.fromkeys(BASIC_BOUNDS, 0.0)
     generic_real = 0  # generic matrices whose range came out real
     thetas = 2.0 * math.pi * np.arange(m) / m
-    for case in range(count):
+    for _ in range(count):
         a = matcore.ginibre_random(n, rng)
-        c = cfg.derive(case)
-        rb = range_boundary(a, m, c)
+        rb = range_boundary(a, m)
         hs = rb.supports()
 
         cls = np.array([classical_support(a, t) for t in thetas])
@@ -93,14 +91,14 @@ def basic_suite(n: int, seed: int, count: int = 12) -> list[CheckResult]:
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ad = a + np.diag(d)
         taud = complex(np.mean(d))
-        hs_d = range_boundary(ad, m, c.derive(1)).supports()
+        hs_d = range_boundary(ad, m).supports()
         shift = np.cos(thetas) * taud.real + np.sin(thetas) * taud.imag
         worst["diagonal_translation"] = max(
             worst["diagonal_translation"], float(np.max(np.abs(hs_d - hs - shift)))
         )
 
         diag_a = np.diag(np.diag(a))
-        hs_diag = range_boundary(diag_a, m, c.derive(2)).supports()
+        hs_diag = range_boundary(diag_a, m).supports()
         tau_d = matcore.normalized_trace(diag_a)
         proj_d = np.cos(thetas) * tau_d.real + np.sin(thetas) * tau_d.imag
         worst["singleton_diagonal"] = max(
@@ -109,7 +107,7 @@ def basic_suite(n: int, seed: int, count: int = 12) -> list[CheckResult]:
 
         w, phi = _spread_lower_bound(a)
         if w >= 0.1:
-            res = support_direction(a, phi, c.derive(3))
+            res = support_direction(a, phi)
             spread = res.value - (math.cos(phi) * tau.real + math.sin(phi) * tau.imag)
             worst["offdiagonal_spread"] = max(
                 worst["offdiagonal_spread"], w / n - spread
@@ -118,22 +116,22 @@ def basic_suite(n: int, seed: int, count: int = 12) -> list[CheckResult]:
         s, k = matcore.hermitian_parts(a)
         dr = rng.standard_normal(n)
         real_a = s + 1j * np.diag(dr - np.mean(dr))
-        up = support_direction(real_a, math.pi / 2.0, c.derive(4)).value
-        dn = support_direction(real_a, 3.0 * math.pi / 2.0, c.derive(5)).value
+        up = support_direction(real_a, math.pi / 2.0).value
+        dn = support_direction(real_a, 3.0 * math.pi / 2.0).value
         worst["real_range_criterion"] = max(worst["real_range_criterion"], up + dn)
         if n > 1:  # a 1 x 1 range is a single point, real for every matrix
-            up_g = support_direction(a, math.pi / 2.0, c.derive(6)).value
-            dn_g = support_direction(a, 3.0 * math.pi / 2.0, c.derive(7)).value
+            up_g = support_direction(a, math.pi / 2.0).value
+            dn_g = support_direction(a, 3.0 * math.pi / 2.0).value
             generic_real += up_g + dn_g <= 1e-8
 
         e = 0.1 * matcore.ginibre_random(n, rng)
-        hs_e = range_boundary(a + e, m, c.derive(8)).supports()
+        hs_e = range_boundary(a + e, m).supports()
         worst["continuity_lipschitz"] = max(
             worst["continuity_lipschitz"],
             float(np.max(np.abs(hs_e - hs))) - matcore.operator_norm(e),
         )
 
-        hs_t = range_boundary(a.T, m, c.derive(9)).supports()
+        hs_t = range_boundary(a.T, m).supports()
         worst["transpose_invariance"] = max(
             worst["transpose_invariance"], float(np.max(np.abs(hs_t - hs)))
         )
@@ -141,7 +139,7 @@ def basic_suite(n: int, seed: int, count: int = 12) -> list[CheckResult]:
         phases = np.exp(2j * np.pi * rng.random(n))
         perm = rng.permutation(n)
         u = np.diag(phases)[:, perm]
-        hs_u = range_boundary(u.conj().T @ a @ u, m, c.derive(10)).supports()
+        hs_u = range_boundary(u.conj().T @ a @ u, m).supports()
         worst["conjugation_invariance"] = max(
             worst["conjugation_invariance"], float(np.max(np.abs(hs_u - hs)))
         )
@@ -165,7 +163,6 @@ def basic_suite(n: int, seed: int, count: int = 12) -> list[CheckResult]:
 def duality_suite(n: int, seed: int, count: int = 25) -> list[CheckResult]:
     """Gap closure rate and exact dual feasibility on random directions."""
     rng = np.random.default_rng([seed, n, 2])
-    cfg = SolveConfig(seed=seed)
     gaps = []
     lam_min = 0.0
     neg_gap = 0.0
@@ -174,7 +171,7 @@ def duality_suite(n: int, seed: int, count: int = 25) -> list[CheckResult]:
         z = matcore.ginibre_random(n, rng)
         a = (z + z.conj().T) / 2.0 if case % 2 == 0 else z
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        res = support_direction(a, theta, cfg.derive(case))
+        res = support_direction(a, theta)
         gaps.append(res.gap)
         h = crange.rotated_hermitian_part(a, theta)
         lam_min = min(lam_min, matcore.lambda_min(np.diag(res.dual_y) - h))
@@ -202,18 +199,17 @@ def decompose_suite(n: int, seed: int, count: int = 40) -> list[CheckResult]:
     """Nonnegativity verdict == decomposability, margins matched, sound
     certificates."""
     rng = np.random.default_rng([seed, n, 3])
-    cfg = SolveConfig(seed=seed)
     agree = True
     margin_dev = 0.0
     cert_res = 0.0
     recon = 0.0
     psd_floor = 0.0
-    for case in range(count):
+    for _ in range(count):
         z = matcore.ginibre_random(n, rng)
         a = (z + z.conj().T) / 2.0 + rng.uniform(-1.0, 3.0) * np.eye(n)
-        nn = nonnegativity_test(a, cfg.derive(case))
+        nn = nonnegativity_test(a)
         try:
-            dec = run_decompose(a, cfg.derive(case))
+            dec = run_decompose(a)
             ok = True
             recon = max(recon, matcore.frobenius(dec.P + dec.D - a))
             psd_floor = min(psd_floor, matcore.lambda_min(dec.P))
@@ -239,12 +235,11 @@ def decompose_suite(n: int, seed: int, count: int = 40) -> list[CheckResult]:
 def metrics_suite(n: int, seed: int, count: int = 8) -> list[CheckResult]:
     """Seminorm axioms and the radius bracket."""
     rng = np.random.default_rng([seed, n, 4])
-    cfg = SolveConfig(seed=seed)
     homog = 0.0
     triangle = 0.0
     bracket = 0.0
     shift_dev = 0.0
-    for case in range(count):
+    for _ in range(count):
         t1 = matcore.ginibre_random(n, rng)
         t2 = matcore.ginibre_random(n, rng)
         c = float(rng.uniform(0.2, 2.0))
@@ -254,11 +249,11 @@ def metrics_suite(n: int, seed: int, count: int = 8) -> list[CheckResult]:
             triangle,
             metrics.correlation_seminorm(t1 + t2) - v1 - metrics.correlation_seminorm(t2),
         )
-        w = radius(t1, 48, cfg.derive(case))
+        w = radius(t1, 48)
         bracket = max(bracket, w - v1, (1.0 / (4 * n + 2)) * v1 - w)
         d0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         d0 -= np.mean(d0)
-        w_shift = radius(t1 + np.diag(d0), 48, cfg.derive(1000 + case))
+        w_shift = radius(t1 + np.diag(d0), 48)
         shift_dev = max(shift_dev, abs(w_shift - w))
     zero_on = metrics.correlation_seminorm(np.diag(np.arange(1, n + 1) - (n + 1) / 2).astype(complex))
     return [
@@ -274,7 +269,6 @@ def ucrange_suite(n: int, seed: int, count: int = 60) -> list[CheckResult]:
     """Induced correlation matrices stay in the elliptope; sampled induced
     ranges respect the certified half-planes."""
     rng = np.random.default_rng([seed, n, 5])
-    cfg = SolveConfig(seed=seed)
     in_elliptope = True
     for _ in range(count):
         k = int(rng.integers(1, 9))
@@ -290,7 +284,7 @@ def ucrange_suite(n: int, seed: int, count: int = 60) -> list[CheckResult]:
         except CnrError:
             in_elliptope = False
     t = matcore.ginibre_random(n, rng)
-    cmp_res = ucrange.compare_ranges(t, cfg, m=32, samples=300, rng=rng)
+    cmp_res = ucrange.compare_ranges(t, m=32, samples=300, rng=rng)
     return [
         CheckResult("induced_in_elliptope", in_elliptope, f"{count} tuples"),
         CheckResult(

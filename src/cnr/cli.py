@@ -13,7 +13,6 @@ uncertified results under --strict.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -69,15 +68,8 @@ def _int_list(text: str) -> list[int]:
 # come from the library module that reads the setting, which also rejects
 # values out of range (ValueError, exit 2).
 _SETTINGS = {
-    "--directions": dict(
-        type=_checked(int, lambda m: m >= 3, "at least 3"), default=DIRECTIONS, help="support grid size"
-    ),
-    "--tol": dict(
-        type=_checked(float, lambda t: 0.0 < t < math.inf, "positive and finite"),
-        default=SolveConfig.tol,
-        help="certification gap tolerance",
-    ),
-    "--restarts": dict(type=int, default=SolveConfig.restarts, help="ascent restarts per direction"),
+    "--directions": dict(type=int, default=DIRECTIONS, help="support grid size"),
+    "--tol": dict(type=float, default=SolveConfig.tol, help="certification gap tolerance"),
     "--seed": dict(
         type=_checked(int, lambda s: s >= 0, "nonnegative"), help="seed (default: CNR_SEED, else 0)"
     ),
@@ -118,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _env_seed(args) -> None:
     """Without --seed: CNR_SEED (read here only), else 0, checked like --seed."""
     if getattr(args, "seed", 0) is None:
-        text = os.environ.get("CNR_SEED", str(SolveConfig.seed))
+        text = os.environ.get("CNR_SEED", "0")
         try:
             args.seed = _SETTINGS["--seed"]["type"](text)
         except (argparse.ArgumentTypeError, ValueError):
@@ -126,7 +118,7 @@ def _env_seed(args) -> None:
 
 
 def _config(args) -> SolveConfig:
-    return SolveConfig(tol=args.tol, restarts=args.restarts, seed=args.seed)
+    return SolveConfig(tol=args.tol)
 
 
 def _emit(args, obj: dict, flags, failed: bool = False) -> int:
@@ -329,26 +321,25 @@ class _Command(NamedTuple):
     overrides: dict = {}  # per-flag changes to the _OPTIONS keywords
 
 
-_SOLVE = "--tol --restarts --seed"
 _COMMANDS = {
     "range": _Command(
         _cmd_range,
         "boundary of the correlation numerical range",
-        f"--input --directions {_SOLVE} --out --strict --csv --svg",
+        "--input --directions --tol --out --strict --csv --svg",
     ),
     "radius": _Command(
-        _cmd_radius, "correlation numerical radius", f"--input --directions {_SOLVE} --out --strict"
+        _cmd_radius, "correlation numerical radius", "--input --directions --tol --out --strict"
     ),
     "contains": _Command(
         _cmd_contains,
         "membership query for a point",
-        f"--input --directions {_SOLVE} --out --strict --re --im",
+        "--input --directions --tol --out --strict --re --im",
     ),
     "decompose": _Command(
-        _cmd_decompose, "PSD + trace-zero-diagonal split", f"--input {_SOLVE} --out --strict"
+        _cmd_decompose, "PSD + trace-zero-diagonal split", "--input --tol --out --strict"
     ),
     "certify": _Command(
-        _cmd_certify, "emit a bare sum-of-squares certificate JSON", f"--input {_SOLVE} --out --strict"
+        _cmd_certify, "emit a bare sum-of-squares certificate JSON", "--input --tol --out --strict"
     ),
     "verify": _Command(
         _cmd_verify,
@@ -359,12 +350,12 @@ _COMMANDS = {
     "wuc": _Command(
         _cmd_wuc,
         "sampled inner approximation of the induced range",
-        f"--input --directions {_SOLVE} --samples --k-list --out --strict --svg",
+        "--input --directions --tol --seed --samples --k-list --out --strict --svg",
     ),
     "kappa": _Command(
         _cmd_kappa,
         "search the radius/seminorm equivalence constant",
-        f"{_SOLVE} --n --budget --out",
+        "--tol --seed --n --budget --out",
         fixed={"directions": metrics.KAPPA_DIRECTIONS},
         overrides={"--n": {"required": True}},
     ),

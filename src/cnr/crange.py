@@ -9,10 +9,11 @@ theta the support problem is
 
 an SDP over the elliptope.  Each solve returns two-sided bounds: the feasible
 maximizer B gives the attained value (lower bound), and a real diagonal y
-with diag(y) - H PSD gives the upper bound mean(y).  Each restart runs one
-chunk of block-coordinate ascent on a unit-vector Gram factor of B against
-its slackness dual; an open bracket goes to a centred log-det barrier path
-on the dual (polish_dual), whose interior end point also yields a primal.
+with diag(y) - H PSD gives the upper bound mean(y).  Each solve runs one
+chunk of block-coordinate ascent on a unit-vector Gram factor of B, from
+B = I, against its slackness dual; an open bracket goes to a centred log-det
+barrier path on the dual (polish_dual), whose interior end point also yields
+a primal.  Solves are deterministic and take no seed.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
-from .elliptope import CorrelationMatrix, GramFactor, gram_to_correlation, random_gram
+from .elliptope import CorrelationMatrix, GramFactor, gram_to_correlation
 from .errors import RangeNotRealError
 
 FLAG_GAP = "gap_not_closed"
 IMPROVE_TOL = 1e-13  # ascent plateau: per-sweep gain at or below this
-MAX_SWEEPS = 150  # ascent sweeps per restart
+MAX_SWEEPS = 150  # sweeps per ascent chunk
 DIRECTIONS = 256  # default support grid of boundaries, radius and membership
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -40,25 +41,18 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class SolveConfig:
     """Solver configuration shared by all support solves.
 
-    The CLI reads its defaults from these fields; restarts must be at least
-    1, and seed (never read from the environment) and counter seed every
-    random restart.  cancel is an optional zero-argument callable polled
-    once per restart; returning True aborts the solve with CancelledError
-    (cooperative cancellation for long batch runs).
+    tol is the certification gap tolerance; support_direction rejects one
+    that is not positive and finite, and the CLI reads its default here.
+    cancel is an optional zero-argument callable polled once per support
+    solve; returning True aborts it with CancelledError (cooperative
+    cancellation for long batch runs).  Nothing reads seed: support solves
+    are deterministic.  It stays only because perfbench/workloads.py still
+    passes it, and goes once ROADMAP item 1 drops that argument.
     """
 
     tol: float = 1e-8
-    restarts: int = 8
-    seed: int = 0
-    counter: int = 0
     cancel: object = None
-
-    def derive(self, k: int) -> "SolveConfig":
-        """Child config for the k-th subproblem (per-direction seeds)."""
-        return replace(self, counter=self.counter * 1000003 + k + 1)
-
-    def rng(self, restart: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, self.counter, restart])
+    seed: int = 0
 
     def check_cancelled(self) -> None:
         if self.cancel is not None and self.cancel():
@@ -188,12 +182,6 @@ def _ascend(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _start(n: int, restart: int, cfg: SolveConfig) -> np.ndarray:
-    if restart == 0:
-        return np.eye(n, dtype=np.complex128)
-    return random_gram(n, cfg.rng(restart)).vectors
-
-
 def repair_dual(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Uniform shift making diag(y) - H exactly PSD."""
     lam = matcore.hermitian_eigs(np.diag(y) - h).eigenvalues[0]
@@ -265,12 +253,13 @@ def polish_dual(h, y0, target, stop_tol=1e-12):
 def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> SupportResult:
     """Certified support value of the range of A in direction theta.
 
-    Each restart runs one ascent chunk and checks it against its slackness
-    dual; if that bracket is open, polish_dual's barrier path tightens the
-    dual, and a second ascent chunk from its interior primal tightens the
-    primal.  The result keeps the best primal and the best dual seen."""
-    if cfg.restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {cfg.restarts}")
+    One ascent chunk from B = I is checked against its slackness dual; if
+    that bracket is open, polish_dual's barrier path tightens the dual, and
+    a second ascent chunk from its interior primal tightens the primal.  The
+    result keeps the better primal and the better dual, and is flagged
+    gap_not_closed if they are still more than cfg.tol apart."""
+    if not 0.0 < cfg.tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {cfg.tol}")
     a = matcore.as_matrix(a)
     n = a.shape[0]
     h = rotated_hermitian_part(a, theta)
@@ -279,41 +268,33 @@ def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> Supp
     d = np.diag(h).real
     h = h - np.diag(d)
     floor = _rounding_floor(h)  # certify a gap of tol only with rounding counted
+    cfg.check_cancelled()
 
-    best_value, best_v, best_dual, best_y = -np.inf, None, np.inf, None
-
-    def keep(v, y) -> bool:
-        nonlocal best_value, best_v, best_dual, best_y
-        value = float(np.vdot(v, h @ v).real) / n
-        if value > best_value:
-            best_value, best_v = value, v
-        if float(np.mean(y)) < best_dual:
-            best_dual, best_y = float(np.mean(y)), y
-        return best_dual - best_value + floor <= cfg.tol
-
-    for restart in range(cfg.restarts):
-        cfg.check_cancelled()
-        v = _ascend(h, _start(n, restart, cfg))
-        if keep(v, repair_dual(h, np.sum((h @ v) * v.conj(), axis=1).real)):
-            break
-        y = polish_dual(h, best_y, best_value, stop_tol=cfg.tol / 4.0)
+    v = _ascend(h, np.eye(n, dtype=np.complex128))
+    value = float(np.vdot(v, h @ v).real) / n
+    y = repair_dual(h, np.sum((h @ v) * v.conj(), axis=1).real)
+    if float(np.mean(y)) - value + floor > cfg.tol:
+        y_polished = polish_dual(h, y, value, stop_tol=cfg.tol / 4.0)
+        if float(np.mean(y_polished)) < float(np.mean(y)):
+            y = y_polished
         try:  # rows of the unit-diagonal rescaling of (diag(y) - H)^-1 = G* G,
             # G = L^-1 for the Cholesky factor L; ascent polishes that primal
-            g = np.linalg.inv(np.linalg.cholesky(np.diag(y) - h))
-            v = _ascend(h, (g / np.linalg.norm(g, axis=0)).conj().T)
+            g = np.linalg.inv(np.linalg.cholesky(np.diag(y_polished) - h))
+            v_polished = _ascend(h, (g / np.linalg.norm(g, axis=0)).conj().T)
+            value_polished = float(np.vdot(v_polished, h @ v_polished).real) / n
+            if value_polished > value:
+                v, value = v_polished, value_polished
         except np.linalg.LinAlgError:  # a warm start on the cone's boundary
             pass
-        if keep(v, y):
-            break
 
-    gap = best_dual - best_value
+    gap = float(np.mean(y)) - value
     return SupportResult(
         theta=float(theta),
-        value=best_value + float(np.mean(d)),
-        maximizer=GramFactor(best_v),
-        witness_point=complex(np.vdot(best_v, a @ best_v)) / n,
-        dual_y=best_y + d,
-        gap=float(gap),
+        value=value + float(np.mean(d)),
+        maximizer=GramFactor(v),
+        witness_point=complex(np.vdot(v, a @ v)) / n,
+        dual_y=y + d,
+        gap=gap,
         flags=() if gap + floor <= cfg.tol else (FLAG_GAP,),
     )
 
@@ -324,25 +305,22 @@ def range_boundary(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> 
     if m < 3:
         raise ValueError("need at least 3 directions")
     a = matcore.as_matrix(a)
-    samples = [
-        support_direction(a, 2.0 * math.pi * k / m, cfg.derive(k)) for k in range(m)
-    ]
+    samples = [support_direction(a, 2.0 * math.pi * k / m, cfg) for k in range(m)]
     radius = max(s.value for s in samples)
     return RangeBoundary(matrix_hash=matrix_hash(a), samples=samples, radius=radius)
 
 
 def _refine(a, m: int, cfg: SolveConfig, theta0: float, objective):
     """Golden-section maximum of objective(theta, h(theta)) over theta0 +- 2 pi/m,
-    h the support function, to within 1e-6 in theta; the support solves take
-    the per-direction seeds that follow the m grid directions, derive(m + 1),
-    derive(m + 2), ...  Returns (theta, objective value, flags), each flag
-    indexed by its solve's derive counter like the grid's."""
-    counter = itertools.count(m + 1)
+    h the support function, to within 1e-6 in theta.  Returns (theta,
+    objective value, flags); the flags of its support solves are indexed
+    m + 1, m + 2, ..., after the m grid directions."""
+    index = itertools.count(m + 1)
     flags: list[str] = []
 
     def f(theta: float) -> float:
-        k = next(counter)
-        res = support_direction(a, theta, cfg.derive(k))
+        k = next(index)
+        res = support_direction(a, theta, cfg)
         flags.extend(f"{flag}@{k}" for flag in res.flags)
         return objective(theta, res.value)
 
@@ -382,8 +360,10 @@ def radius(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> float:
 def contains(a, point: complex, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> Containment:
     """Membership via supporting half-planes: the point is inside iff
     Re(exp(-i theta) point) <= h(theta) for every direction."""
-    a = matcore.as_matrix(a)
     point = complex(point)
+    if not np.isfinite(point):
+        raise ValueError(f"point must be finite, got {point}")
+    a = matcore.as_matrix(a)
     boundary = range_boundary(a, m, cfg)
     values = boundary.supports()
     thetas = boundary.thetas()

@@ -296,8 +296,8 @@ def direct_sum_check(
     a[:k1, :k1] = s1
     a[k1:, k1:] = s2
     rb = range_boundary(a, m, cfg)
-    rb1 = range_boundary(s1, m, cfg.derive(7919))
-    rb2 = range_boundary(s2, m, cfg.derive(7927))
+    rb1 = range_boundary(s1, m, cfg)
+    rb2 = range_boundary(s2, m, cfg)
     thetas = rb.thetas()
     direct = rb.supports()
     combined = (k1 / n) * rb1.supports() + (k2 / n) * rb2.supports()

@@ -11,7 +11,7 @@ import numpy as np
 
 from cnr import checks, matcore, metrics, ucrange
 from cnr.cli import main as cli_main
-from cnr.crange import SolveConfig, radius, range_boundary, support_direction
+from cnr.crange import radius, range_boundary, support_direction
 from cnr.decompose import (
     NotDecomposableError,
     decompose,
@@ -42,13 +42,12 @@ def _analytic_support_2x2(a, thetas):
 
 def test_criterion_1_closed_form_2x2():
     rng = np.random.default_rng(101)
-    cfg = SolveConfig(seed=101)
     t0 = time.perf_counter()
     worst_h = 0.0
     worst_dev = 0.0
-    for case in range(50):
+    for _ in range(50):
         a = matcore.ginibre_random(2, rng)
-        rb = range_boundary(a, 256, cfg.derive(case))
+        rb = range_boundary(a, 256)
         thetas = rb.thetas()
         solver = rb.supports()
         analytic = _analytic_support_2x2(a, thetas)
@@ -66,7 +65,6 @@ def test_criterion_1_closed_form_2x2():
 
 def test_criterion_2_duality_certification():
     rng = np.random.default_rng(202)
-    cfg = SolveConfig(seed=202)
     t0 = time.perf_counter()
     gaps = []
     lam_min = 0.0
@@ -75,7 +73,7 @@ def test_criterion_2_duality_certification():
         z = matcore.ginibre_random(n, rng)
         a = (z + z.conj().T) / 2.0 if case % 2 == 0 else z
         theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        res = support_direction(a, theta, cfg.derive(case))
+        res = support_direction(a, theta)
         gaps.append(res.gap)
         h = np.cos(theta) * (a + a.conj().T) / 2.0 + np.sin(theta) * (a - a.conj().T) / 2.0j
         lam_min = min(lam_min, float(np.linalg.eigvalsh(np.diag(res.dual_y) - h)[0]))
@@ -111,19 +109,18 @@ def test_criterion_3_basic_identity_suite(tmp_path):
 
 def test_criterion_4_direct_sum_law():
     rng = np.random.default_rng(404)
-    cfg = SolveConfig(seed=404)
     worst = 0.0
-    for case in range(20):
+    for _ in range(20):
         k1 = int(rng.integers(1, 4))
         k2 = int(rng.integers(1, 4))
         s1 = matcore.ginibre_random(k1, rng)
         s2 = matcore.ginibre_random(k2, rng)
-        rep = metrics.direct_sum_check(s1, s2, cfg.derive(case), m=24)
+        rep = metrics.direct_sum_check(s1, s2, m=24)
         worst = max(worst, rep.max_support_dev)
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
     witness = np.zeros((3, 3), dtype=complex)
     witness[:2, :2] = e12
-    r = radius(witness, 64, cfg)
+    r = radius(witness, 64)
     ok = worst <= 1e-7 and abs(r - 1.0 / 3.0) <= 1e-7
     _report(4, ok, f"support dev {worst:.2e}; padded witness radius {r:.9f} (1/3 expected)")
     assert worst <= 1e-7
@@ -132,22 +129,17 @@ def test_criterion_4_direct_sum_law():
 
 def test_criterion_5_conjugation_invariance():
     rng = np.random.default_rng(505)
-    cfg = SolveConfig(seed=505)
     m = 8
     thetas = 2.0 * np.pi * np.arange(m) / m
     worst = 0.0
-    for case in range(5):
+    for _ in range(5):
         n = int(rng.integers(2, 6))
         a = matcore.ginibre_random(n, rng)
-        base = np.array([support_direction(a, t, cfg.derive(case * 100 + k)).value
-                         for k, t in enumerate(thetas)])
-        for rep in range(20):
+        base = np.array([support_direction(a, t).value for t in thetas])
+        for _ in range(20):
             u = np.diag(np.exp(2j * np.pi * rng.random(n)))[:, rng.permutation(n)]
             conj = u.conj().T @ a @ u
-            vals = np.array([
-                support_direction(conj, t, cfg.derive(case * 100 + 50 + rep * m + k)).value
-                for k, t in enumerate(thetas)
-            ])
+            vals = np.array([support_direction(conj, t).value for t in thetas])
             worst = max(worst, float(np.max(np.abs(vals - base))))
     ok = worst <= 1e-8
     _report(5, ok, f"worst support deviation {worst:.2e} over 100 conjugations")
@@ -156,7 +148,6 @@ def test_criterion_5_conjugation_invariance():
 
 def test_criterion_6_decomposition_equivalence():
     rng = np.random.default_rng(606)
-    cfg = SolveConfig(seed=606)
     mismatches = 0
     worst_margin = 0.0
     worst_residual = 0.0
@@ -164,9 +155,9 @@ def test_criterion_6_decomposition_equivalence():
         n = 2 + case % 4
         z = matcore.ginibre_random(n, rng)
         a = (z + z.conj().T) / 2.0 + rng.uniform(-1.0, 3.0) * np.eye(n)
-        nn = nonnegativity_test(a, cfg.derive(case))
+        nn = nonnegativity_test(a)
         try:
-            dec = decompose(a, cfg.derive(case))
+            dec = decompose(a)
             succeeded = True
             worst_margin = max(worst_margin, abs(dec.margin - nn.margin))
             cert = sos_certificate(dec)
@@ -192,19 +183,18 @@ def test_criterion_6_decomposition_equivalence():
 
 def test_criterion_7_radius_seminorm_bracket():
     rng = np.random.default_rng(707)
-    cfg = SolveConfig(seed=707)
     worst_hi = -np.inf
     worst_lo = -np.inf
     for n in (2, 3, 4):
-        for case in range(50):
+        for _ in range(50):
             t = matcore.ginibre_random(n, rng)
-            w = radius(t, 48, cfg.derive(n * 1000 + case))
+            w = radius(t, 48)
             sn = metrics.correlation_seminorm(t)
             worst_hi = max(worst_hi, w - sn)
             worst_lo = max(worst_lo, sn / (4 * n + 2) - w)
     ratios = {}
     for n in (2, 3, 4):
-        est = metrics.kappa_search(n, budget=6, rng=np.random.default_rng(n), cfg=cfg)
+        est = metrics.kappa_search(n, budget=6, rng=np.random.default_rng(n))
         ratios[n] = est.best_ratio
     ok = (
         worst_hi <= 1e-6
@@ -225,7 +215,6 @@ def test_criterion_7_radius_seminorm_bracket():
 
 def test_criterion_8_induced_range_inclusion_and_convergence():
     rng = np.random.default_rng(808)
-    cfg = SolveConfig(seed=808)
     t0 = time.perf_counter()
     worst_margin = np.inf
     worst_deficit = 0.0
@@ -233,7 +222,7 @@ def test_criterion_8_induced_range_inclusion_and_convergence():
         t = matcore.ginibre_random(2, rng)
         approx = ucrange.wuc_inner(t, k_list=[16], samples=2000,
                                    rng=np.random.default_rng([808, case]))
-        cmp_res = ucrange.compare_ranges(t, cfg.derive(case), m=128, approx=approx)
+        cmp_res = ucrange.compare_ranges(t, m=128, approx=approx)
         worst_margin = min(worst_margin, cmp_res.inclusion_margin)
         worst_deficit = max(worst_deficit, cmp_res.deficit)
     elapsed = time.perf_counter() - t0
@@ -250,20 +239,16 @@ def test_criterion_8_induced_range_inclusion_and_convergence():
 
 def test_criterion_9_continuity():
     rng = np.random.default_rng(909)
-    cfg = SolveConfig(seed=909)
     m = 12
     thetas = 2.0 * np.pi * np.arange(m) / m
     worst = -np.inf
-    for case in range(50):
+    for _ in range(50):
         n = int(rng.integers(2, 6))
         a = matcore.ginibre_random(n, rng)
         e = rng.uniform(0.01, 0.5) * matcore.ginibre_random(n, rng)
         bound = matcore.operator_norm(e)
-        for k, t in enumerate(thetas):
-            dev = abs(
-                support_direction(a + e, t, cfg.derive(case * 100 + k)).value
-                - support_direction(a, t, cfg.derive(case * 100 + 50 + k)).value
-            )
+        for t in thetas:
+            dev = abs(support_direction(a + e, t).value - support_direction(a, t).value)
             worst = max(worst, dev - bound)
     ok = worst <= 1e-9
     _report(9, ok, f"worst Lipschitz excess {worst:.2e} over 50 perturbation pairs")

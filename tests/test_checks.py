@@ -9,8 +9,8 @@ def test_generic_real_range_failures_reported_once(monkeypatch):
     # look real; the suite must say so once, with the number of such cases
     solve = checks.support_direction
 
-    def flat(a, theta, cfg):
-        res = solve(a, theta, cfg)
+    def flat(a, theta, *cfg):
+        res = solve(a, theta, *cfg)
         vertical = math.isclose(theta, math.pi / 2.0) or math.isclose(theta, 1.5 * math.pi)
         return dataclasses.replace(res, value=0.0) if vertical else res
 

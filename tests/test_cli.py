@@ -14,14 +14,14 @@ from cnr.errors import DimensionMismatchError, MatrixParseError
 # solves with, then the settings among these options: every option except
 # the files, the query point and --strict.
 OPTIONS = {
-    "range": "--input --directions --tol --restarts --seed --out --strict --csv --svg",
-    "radius": "--input --directions --tol --restarts --seed --out --strict",
-    "contains": "--input --directions --tol --restarts --seed --out --strict --re --im",
-    "decompose": "--input --tol --restarts --seed --out --strict",
-    "certify": "--input --tol --restarts --seed --out --strict",
+    "range": "--input --directions --tol --out --strict --csv --svg",
+    "radius": "--input --directions --tol --out --strict",
+    "contains": "--input --directions --tol --out --strict --re --im",
+    "decompose": "--input --tol --out --strict",
+    "certify": "--input --tol --out --strict",
     "verify": "--input --cert --out",
-    "wuc": "--input --directions --tol --restarts --seed --samples --k-list --out --strict --svg",
-    "kappa": "--tol --restarts --seed --n --budget --out",
+    "wuc": "--input --directions --tol --seed --samples --k-list --out --strict --svg",
+    "kappa": "--tol --seed --n --budget --out",
     "cnorm": "--input --out --strict",
     "check": "--seed --suite --n --count --out",
 }
@@ -92,7 +92,7 @@ def test_range_command_artifacts(tmp_path, e12_file):
     code = main(
         [
             "range", "--input", e12_file, "--directions", "32",
-            "--out", str(out), "--csv", str(csv), "--svg", str(svg), "--seed", "1",
+            "--out", str(out), "--csv", str(csv), "--svg", str(svg),
         ]
     )
     assert code == 0
@@ -111,8 +111,7 @@ def test_range_determinism(tmp_path, e12_file):
     out1 = tmp_path / "b1.json"
     out2 = tmp_path / "b2.json"
     for out in (out1, out2):
-        assert main(["range", "--input", e12_file, "--directions", "16",
-                     "--out", str(out), "--seed", "7"]) == 0
+        assert main(["range", "--input", e12_file, "--directions", "16", "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -224,7 +223,7 @@ def test_strict_flags_exit_code(tmp_path):
     for command in ("range", "radius"):
         # unreachable tolerance leaves the gap open; --strict must exit 3
         code = main([command, "--input", str(path), "--directions", "4", "--tol", "1e-300",
-                     "--restarts", "1", "--out", str(out), "--strict"])
+                     "--out", str(out), "--strict"])
         assert code == 3
         payload = json.loads(out.read_text())
         assert any("gap_not_closed" in f for f in payload["flags"])
@@ -242,11 +241,22 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_validators_exit_2(e12_file, capsys):
+    # --directions and --tol are range-checked by the library, --seed by the CLI
     for flag, value in [("--directions", "2"), ("--tol", "0"), ("--tol", "-1e-8"),
-                        ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-5"),
-                        ("--directions", "x"), ("--restarts", "0"), ("--restarts", "-3")]:
+                        ("--tol", "nan"), ("--tol", "inf"), ("--directions", "x")]:
         assert main(["range", "--input", e12_file, flag, value]) == 2
         assert "error: " in capsys.readouterr().err
+    assert main(["check", "--seed", "-5"]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["--re nan", "--re inf", "--re=-inf", "--re 0 --im nan"])
+def test_contains_nonfinite_point_exits_2(tmp_path, e12_file, capsys, point):
+    out = tmp_path / "c.json"
+    assert main(["contains", "--input", e12_file, *point.split(), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: point must be finite") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -282,7 +292,7 @@ def test_options_per_subcommand():
         for name, p in sub.choices.items()
     }
     assert declared == {name: opts.split() for name, opts in OPTIONS.items()}
-    assert sum(len(v) for v in declared.values()) == 64
+    assert sum(len(v) for v in declared.values()) == 52
 
 
 REMOVED = [
@@ -294,13 +304,19 @@ REMOVED = [
     ("cnorm", "--seed 1"),
     ("check", "--directions 16"), ("check", "--tol 1e-9"), ("check", "--restarts 2"),
     ("check", "--strict"),
+    # support solves take no restarts and no seed
+    ("range", "--restarts 2"), ("radius", "--restarts 2"), ("contains", "--restarts 2"),
+    ("decompose", "--restarts 2"), ("certify", "--restarts 2"), ("wuc", "--restarts 2"),
+    ("kappa", "--restarts 2"),
+    ("range", "--seed 1"), ("radius", "--seed 1"), ("contains", "--seed 1"),
+    ("decompose", "--seed 1"), ("certify", "--seed 1"),
 ]
 
 
 @pytest.mark.parametrize("command,extra", REMOVED)
 def test_unread_options_rejected(e12_file, command, extra):
     required = {"verify": ["--input", e12_file, "--cert", e12_file], "kappa": ["--n", "2"],
-                "check": []}
+                "check": [], "contains": ["--input", e12_file, "--re", "0"]}
     base = [command] + required.get(command, ["--input", e12_file])
     parser = _build_parser()
     parser.parse_args(base)  # accepted without the unread option
@@ -384,16 +400,17 @@ def test_readme_commands_parse():
 def test_seed_env_fallback(tmp_path, e12_file, monkeypatch, capsys):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"
+    wuc = ["wuc", "--input", e12_file, "--directions", "8", "--samples", "20", "--k-list", "2"]
     monkeypatch.setenv("CNR_SEED", "99")
-    assert main(["range", "--input", e12_file, "--directions", "8", "--out", str(out1)]) == 0
+    assert main([*wuc, "--out", str(out1)]) == 0
     monkeypatch.delenv("CNR_SEED")
-    assert main(["range", "--input", e12_file, "--directions", "8", "--out", str(out2),
-                 "--seed", "99"]) == 0
-    assert json.loads(out1.read_text())["config"] == json.loads(out2.read_text())["config"]
+    assert main([*wuc, "--out", str(out2), "--seed", "99"]) == 0
+    assert json.loads(out1.read_text())["config"]["seed"] == 99
+    assert out1.read_bytes() == out2.read_bytes()
     capsys.readouterr()
     for value in ("abc", "-4"):  # validated like a given --seed, never read as 0
         monkeypatch.setenv("CNR_SEED", value)
-        assert main(["range", "--input", e12_file, "--directions", "8", "--out", str(out1)]) == 2
+        assert main([*wuc, "--out", str(out1)]) == 2
         captured = capsys.readouterr()
         # the one error line names the variable, not the --seed option
         assert captured.out == ""

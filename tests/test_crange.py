@@ -68,24 +68,15 @@ def test_support_result_invariants():
 
 def test_support_determinism():
     a = matcore.ginibre_random(4, np.random.default_rng(3))
-    cfg = crange.SolveConfig(seed=5)
-    r1 = crange.support_direction(a, 1.0, cfg)
-    r2 = crange.support_direction(a, 1.0, cfg)
+    r1 = crange.support_direction(a, 1.0)
+    r2 = crange.support_direction(a, 1.0)
     assert r1.value == r2.value and r1.gap == r2.gap
     assert np.array_equal(r1.dual_y, r2.dual_y)
 
 
-def test_rng_ignores_environment(monkeypatch):
-    # the library's seed defaults to 0; CNR_SEED is an input of the CLI only
-    monkeypatch.delenv("CNR_SEED", raising=False)
-    plain = crange.SolveConfig().rng(1).standard_normal(4)
-    monkeypatch.setenv("CNR_SEED", "5")
-    assert np.array_equal(crange.SolveConfig().rng(1).standard_normal(4), plain)
-
-
 def test_gap_not_closed_flagging():
     a = matcore.ginibre_random(5, np.random.default_rng(8))
-    cfg = crange.SolveConfig(tol=1e-16, restarts=1)
+    cfg = crange.SolveConfig(tol=1e-16)
     res = crange.support_direction((a + a.conj().T) / 2.0, 0.0, cfg)
     assert not res.certified and "gap_not_closed" in res.flags
     assert res.gap > 1e-16  # still a valid two-sided bracket
@@ -133,6 +124,20 @@ def test_contains():
         assert res.contains and not res.inconclusive
 
 
+@pytest.mark.parametrize("point", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.1, -np.inf)])
+def test_contains_rejects_nonfinite_point(point):
+    # rejected before any support solve: no solve can place such a point
+    cfg = crange.SolveConfig(cancel=lambda: pytest.fail("a support solve ran"))
+    with pytest.raises(ValueError, match="point must be finite"):
+        crange.contains(E12, point, 8, cfg)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_tol_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        crange.support_direction(A21, 0.3, crange.SolveConfig(tol=tol))
+
+
 def test_min_real_value():
     res = crange.min_real_value(np.ones((2, 2), dtype=complex))
     assert res.minimum == pytest.approx(0.0, abs=1e-9)
@@ -158,46 +163,42 @@ def test_classical_support():
 
 def test_translation_identity():
     rng = np.random.default_rng(6)
-    cfg = crange.SolveConfig(seed=1)
     for _ in range(5):
         n = int(rng.integers(2, 5))
         a = matcore.ginibre_random(n, rng)
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         tau = complex(np.mean(d))
         for th in np.linspace(0.0, 2.0 * np.pi, 7):
-            lhs = crange.support_direction(a + np.diag(d), th, cfg).value
-            rhs = crange.support_direction(a, th, cfg).value + np.cos(th) * tau.real + np.sin(th) * tau.imag
+            lhs = crange.support_direction(a + np.diag(d), th).value
+            rhs = crange.support_direction(a, th).value + np.cos(th) * tau.real + np.sin(th) * tau.imag
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_transpose_identity():
     rng = np.random.default_rng(7)
-    cfg = crange.SolveConfig(seed=2)
     for _ in range(5):
         a = matcore.ginibre_random(int(rng.integers(2, 5)), rng)
         for th in np.linspace(0.0, 2.0 * np.pi, 7):
-            assert crange.support_direction(a.T, th, cfg).value == pytest.approx(
-                crange.support_direction(a, th, cfg).value, abs=1e-8
+            assert crange.support_direction(a.T, th).value == pytest.approx(
+                crange.support_direction(a, th).value, abs=1e-8
             )
 
 
 def test_conjugation_invariance():
     rng = np.random.default_rng(9)
-    cfg = crange.SolveConfig(seed=3)
     for _ in range(5):
         n = int(rng.integers(2, 5))
         a = matcore.ginibre_random(n, rng)
         u = np.diag(np.exp(2j * np.pi * rng.random(n)))[:, rng.permutation(n)]
         b = u.conj().T @ a @ u
         for th in np.linspace(0.0, 2.0 * np.pi, 5):
-            assert crange.support_direction(b, th, cfg).value == pytest.approx(
-                crange.support_direction(a, th, cfg).value, abs=1e-8
+            assert crange.support_direction(b, th).value == pytest.approx(
+                crange.support_direction(a, th).value, abs=1e-8
             )
 
 
 def test_continuity_lipschitz_in_matrix():
     rng = np.random.default_rng(10)
-    cfg = crange.SolveConfig(seed=4)
     for _ in range(5):
         n = int(rng.integers(2, 5))
         a = matcore.ginibre_random(n, rng)
@@ -205,22 +206,21 @@ def test_continuity_lipschitz_in_matrix():
         bound = matcore.operator_norm(e)
         for th in np.linspace(0.0, 2.0 * np.pi, 7):
             dev = abs(
-                crange.support_direction(a + e, th, cfg).value
-                - crange.support_direction(a, th, cfg).value
+                crange.support_direction(a + e, th).value
+                - crange.support_direction(a, th).value
             )
             assert dev <= bound + 1e-9
 
 
 def test_radius_below_shifted_classical():
     rng = np.random.default_rng(12)
-    cfg = crange.SolveConfig(seed=6)
     for _ in range(5):
         n = int(rng.integers(2, 5))
         a = matcore.ginibre_random(n, rng)
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         d -= np.mean(d)
         for th in np.linspace(0.0, 2.0 * np.pi, 9):
-            assert crange.support_direction(a, th, cfg).value <= crange.classical_support(
+            assert crange.support_direction(a, th).value <= crange.classical_support(
                 a + np.diag(d), th
             ) + 1e-8
 
@@ -249,15 +249,16 @@ def test_cooperative_cancellation():
     cfg = crange.SolveConfig(cancel=lambda: True)
     with pytest.raises(CancelledError):
         crange.support_direction(a, 0.0, cfg)
+    # polled once per support solve: a boundary stops in its third direction
     calls = [0]
 
     def stop_after_two():
         calls[0] += 1
         return calls[0] > 2
 
-    cfg = crange.SolveConfig(tol=1e-300, restarts=8, cancel=stop_after_two)
     with pytest.raises(CancelledError):
-        crange.support_direction((a + a.conj().T) / 2.0, 0.0, cfg)
+        crange.range_boundary(a, 8, crange.SolveConfig(cancel=stop_after_two))
+    assert calls[0] == 3
 
 
 def _boundary_input(seed, op):
@@ -276,9 +277,8 @@ HARD_IDS = ["stalled-s1-op27", "stalled-s2-op42", "near-miss-s1-op26"]
 
 @pytest.mark.parametrize("seed,op,k", HARD_DIRECTIONS, ids=HARD_IDS)
 def test_hard_direction_certifies_in_first_restart(seed, op, k):
-    cfg = crange.SolveConfig(restarts=1)
-    res = crange.support_direction(_boundary_input(seed, op), 2.0 * np.pi * k / 32, cfg)
-    assert res.certified and res.gap <= cfg.tol
+    res = crange.support_direction(_boundary_input(seed, op), 2.0 * np.pi * k / 32)
+    assert res.certified and res.gap <= crange.SolveConfig.tol
 
 
 @pytest.mark.parametrize("seed,op,k", HARD_DIRECTIONS, ids=HARD_IDS)
@@ -303,9 +303,9 @@ def test_large_diagonal_keeps_certificate():
     # diag(H) adds mean(diag H) to every value; its rounding must cost
     # neither the certificate nor accuracy where it dwarfs the rest of H
     a = matcore.ginibre_random(8, np.random.default_rng(0))
-    cfg = crange.SolveConfig(restarts=1)
+    cfg = crange.SolveConfig()
     for th in (0.0, 0.3, np.pi):
-        base = crange.support_direction(a, th, cfg)
+        base = crange.support_direction(a, th)
         res = crange.support_direction(a + 1e6 * np.eye(8), th, cfg)
         assert base.certified and res.certified
         assert res.value == pytest.approx(base.value + 1e6 * np.cos(th), abs=1e-8)

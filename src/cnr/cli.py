@@ -250,8 +250,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_wuc(args) -> int:
     a = jsonio.load_matrix(args.input)
+    cfg = _config(args)  # rejects a bad --tol before any sample is drawn
     approx = ucrange.wuc_inner(a, args.k_list, args.samples, np.random.default_rng([args.seed, 17]))
-    cfg = _config(args)
     rb = range_boundary(a, args.directions, cfg)
     cmp_res = ucrange.compare_ranges(a, cfg, boundary=rb, approx=approx)
     if args.svg:

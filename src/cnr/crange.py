@@ -12,8 +12,9 @@ maximizer B gives the attained value (lower bound), and a real diagonal y
 with diag(y) - H PSD gives the upper bound mean(y).  Each solve runs one
 chunk of block-coordinate ascent on a unit-vector Gram factor of B, from
 B = I, against its slackness dual; an open bracket goes to a centred log-det
-barrier path on the dual (polish_dual), whose interior end point also yields
-a primal.  Solves are deterministic and take no seed.
+barrier path on the dual (polish_dual, on the path routine _centred_path
+that the seminorm also follows), whose interior end point also yields a
+primal.  Solves are deterministic and take no seed.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class SolveConfig:
     """Solver configuration shared by all support solves.
 
-    tol is the certification gap tolerance; support_direction rejects one
-    that is not positive and finite, and the CLI reads its default here.
+    tol is the certification gap tolerance; one that is not positive and
+    finite is rejected here, when the setting is made, and the CLI reads its
+    default here.
     cancel is an optional zero-argument callable polled once per support
     solve; returning True aborts it with CancelledError (cooperative
     cancellation for long batch runs).  Nothing reads seed: support solves
@@ -53,6 +55,10 @@ class SolveConfig:
     tol: float = 1e-8
     cancel: object = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
     def check_cancelled(self) -> None:
         if self.cancel is not None and self.cancel():
@@ -193,61 +199,101 @@ def _rounding_floor(h: np.ndarray) -> float:
     return 8.0 * h.shape[0] * np.finfo(float).eps * (1.0 + float(np.max(np.abs(h))))
 
 
-def polish_dual(h, y0, target, stop_tol=1e-12):
+# Centred barrier path, shared by polish_dual and metrics._barrier: damped
+# Newton steps centre each mu level, up to and including one with decrement
+# -grad.step <= PATH_TOL * mu (PATH_STEPS is only a safety stop: the slowest
+# level seen on benchmark-shaped inputs, seminorm n <= 16 and support
+# n <= 32, takes 14 steps); then mu shrinks by PATH_SHRINK.  A step is
+# halved, at most 40 times, until it stays in the cone and passes an Armijo
+# test of slope fraction 1/4, with a slack of 1e-12 (1 + |merit|) for
+# rounding.
+PATH_TOL = 1e-6
+PATH_STEPS = 100
+PATH_SHRINK = 0.02
+
+
+def _centred_path(cost, slack, newton, x, mu, stop, level=None):
+    """Follow the path of minimizers of cost.x - mu logdet(slack(x)).
+
+    slack(x) is a Hermitian matrix, affine in the real vector x; x must make
+    it positive definite, else LinAlgError is raised.  newton(w, mu) returns
+    the barrier gradient and the Newton step at the iterate x with
+    w = slack(x)^-1; a LinAlgError from it ends the level.  After each level,
+    level(slack(x)^-1) is called if given, and the path ends once stop(mu)
+    holds.  Returns the last centred iterate, which is strictly interior.
+    """
+
+    def factor(x):
+        """Log-det and Cholesky factor of slack(x); (-inf, None) outside the
+        cone, where the merit cost.x - mu logdet is then infinite."""
+        try:
+            c = np.linalg.cholesky(slack(x))
+        except np.linalg.LinAlgError:
+            return -math.inf, None
+        return 2.0 * float(np.sum(np.log(np.diag(c).real))), c
+
+    def inverse(c):
+        g = np.linalg.inv(c)
+        return g.conj().T @ g  # slack^-1 = L^-* L^-1, Hermitian by construction
+
+    logdet, c = factor(x)
+    if c is None:
+        raise np.linalg.LinAlgError("the path must start inside the cone")
+    while True:
+        f = float(cost @ x) - mu * logdet
+        for _ in range(PATH_STEPS):
+            try:
+                grad, dx = newton(inverse(c), mu)
+            except np.linalg.LinAlgError:  # Newton system singular at rounding level
+                break
+            slope = float(grad @ dx)
+            for t in (0.5**k for k in range(40)):
+                x_new = x + t * dx
+                logdet_new, c_new = factor(x_new)
+                f_new = float(cost @ x_new) - mu * logdet_new
+                if f_new <= f + 0.25 * t * slope + 1e-12 * (1.0 + abs(f)):
+                    break
+            else:
+                break
+            x, f, logdet, c = x_new, f_new, logdet_new, c_new
+            if -slope <= PATH_TOL * mu:
+                break
+        if level is not None:
+            level(inverse(c))
+        if stop(mu):
+            return x
+        mu *= PATH_SHRINK
+
+
+def polish_dual(h, y0, target, stop_tol):
     """Minimize mean(y) over feasible duals diag(y) - H >= 0.
 
-    Centred barrier path: damped Newton steps on mean(y) - mu logdet(diag(y)
-    - H), with a Cholesky line search and an Armijo test, until the decrement
-    is at most 1e-3 mu; mu starts at (mean(y0) - target) / n, shrinks 10x per
-    level and ends once n mu <= stop_tol / 4, with stop_tol floored at
-    8 n eps (1 + max|H|).  At a centred point the unit-diagonal rescaling of
-    (diag(y) - H)^-1 is a primal within about n mu of mean(y).  Returns the
-    repaired warm start if it is within stop_tol of target, else the last
-    centred iterate, which is strictly interior.
+    Follows _centred_path on mean(y) - mu logdet(diag(y) - H) from the
+    repaired warm start shifted up by its gap to target; mu starts at that
+    gap / n and the path ends once n mu <= stop_tol / 4, with stop_tol
+    floored at 8 n eps (1 + max|H|).  At a centred point the unit-diagonal
+    rescaling of (diag(y) - H)^-1 is a primal within about n mu of mean(y).
+    Returns the repaired warm start if it is within stop_tol of target, else
+    the last centred iterate, which is strictly interior.
     """
     n = h.shape[0]
-    eps_floor = _rounding_floor(h)
-    stop_tol = max(stop_tol, eps_floor)
+    stop_tol = max(stop_tol, _rounding_floor(h))
     y = repair_dual(h, np.asarray(y0, dtype=float))
     gap = float(np.mean(y)) - target
     if gap <= stop_tol:
         return y
-    mu = gap / n
-    y = y + gap  # strictly interior start: gap exceeds the rounding floor
 
-    def barrier(y):
-        """Barrier value and Cholesky factor L of diag(y) - H; (inf, None) outside."""
-        try:
-            c = np.linalg.cholesky(np.diag(y) - h)
-        except np.linalg.LinAlgError:
-            return np.inf, None
-        return float(np.mean(y)) - 2.0 * mu * float(np.sum(np.log(np.diag(c).real))), c
+    def newton(w, mu):
+        grad = 1.0 / n - mu * np.diag(w).real
+        return grad, np.linalg.solve(mu * np.abs(w) ** 2, -grad)
 
-    while True:
-        f, c = barrier(y)
-        if c is None:  # rounding put the start outside the cone
-            return y - gap
-        for _ in range(100):
-            g = np.linalg.inv(c)
-            w = g.conj().T @ g  # (diag(y) - H)^-1 = L^-* L^-1, Hermitian by construction
-            grad = 1.0 / n - mu * np.diag(w).real
-            try:
-                dy = np.linalg.solve(mu * np.abs(w) ** 2, -grad)
-            except np.linalg.LinAlgError:  # Hessian singular at rounding level
-                return y
-            slope = float(grad @ dy)
-            for t in 0.5 ** np.arange(30):
-                f_new, c_new = barrier(y + t * dy)
-                if f_new <= f + 0.25 * t * slope + eps_floor:
-                    break
-            else:
-                break
-            y, f, c = y + t * dy, f_new, c_new
-            if -slope <= 1e-3 * mu:
-                break
-        if n * mu <= stop_tol / 4.0:
-            return y
-        mu *= 0.1
+    try:  # strictly interior start: gap exceeds the rounding floor
+        return _centred_path(
+            np.full(n, 1.0 / n), lambda y: np.diag(y) - h, newton, y + gap, gap / n,
+            lambda mu: n * mu <= stop_tol / 4.0,
+        )
+    except np.linalg.LinAlgError:  # rounding put the start outside the cone
+        return y
 
 
 def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> SupportResult:
@@ -258,8 +304,6 @@ def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> Supp
     a second ascent chunk from its interior primal tightens the primal.  The
     result keeps the better primal and the better dual, and is flagged
     gap_not_closed if they are still more than cfg.tol apart."""
-    if not 0.0 < cfg.tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {cfg.tol}")
     a = matcore.as_matrix(a)
     n = a.shape[0]
     h = rotated_hermitian_part(a, theta)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio, matcore
-from .crange import SolveConfig, SupportResult, min_real_value, polish_dual, repair_dual
+from .crange import SolveConfig, SupportResult, min_real_value, polish_dual
 from .errors import MatrixParseError, NotDecomposableError
 
 MARGIN_TOL = 1e-9
@@ -102,8 +102,11 @@ def decompose(a, cfg: SolveConfig = SolveConfig()) -> Decomposition:
     """Construct the PSD + trace-zero-diagonal split, or prove none exists.
 
     The dual diagonal comes from the same solve that certifies the range
-    minimum (warm start y_i from the slackness candidate), then is tightened
-    by the barrier polish so that P inherits the full certified margin.
+    minimum, through one polish_dual call: if that dual is more than
+    cfg.tol / 4 from the attained minimum, the barrier path tightens it.  A
+    gap on the primal side is one the path cannot close, and its end point
+    can then be worse than the certified dual; the better of the two is
+    kept, so that P inherits at least the certified margin.
     """
     a = matcore.as_matrix(a)
     nn = nonnegativity_test(a, cfg)
@@ -116,10 +119,8 @@ def decompose(a, cfg: SolveConfig = SolveConfig()) -> Decomposition:
             margin=nn.margin,
         )
     # feasible dual for S - diag(y) >= 0, mean(y) = certified lower bound
-    y = -np.asarray(nn.support.dual_y, dtype=float)
-    if nn.attained - float(np.mean(y)) > cfg.tol / 4.0:
-        y = -polish_dual(-s, -y, -nn.attained, stop_tol=cfg.tol / 4.0)
-    y = -repair_dual(-s, -y)  # uniform shift keeps S - diag(y) exactly PSD
+    polished = polish_dual(-s, nn.support.dual_y, -nn.attained, stop_tol=cfg.tol / 4.0)
+    y = -min(polished, nn.support.dual_y, key=np.mean)
     mean_y = float(np.mean(y))
     p = s - np.diag(y) + mean_y * np.eye(len(y))
     p = (p + p.conj().T) / 2.0

@@ -8,9 +8,10 @@ diagonals, so on each dimension there is a best constant kappa with
 kappa * seminorm <= radius <= seminorm; kappa is bracketed between
 1/(4n+2) and, for the canonical sparse witness, the computed radius itself.
 
-The seminorm is computed by one centred log-det barrier solve and certified
-by a dual bound read from the barrier's inverse slack matrix, so each result
-is a bracket lower <= seminorm <= value.  Singular values come from the
+The seminorm is computed by one centred log-det barrier solve, on the path
+routine that crange.polish_dual also follows, and certified by a dual bound
+read from the barrier's inverse slack matrix after each level, so each
+result is a bracket lower <= seminorm <= value.  Singular values come from the
 Hermitian dilation, so every eigensolve goes through matcore.hermitian_eigs.
 """
 
@@ -21,17 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .crange import SolveConfig, radius, range_boundary
+from .crange import SolveConfig, _centred_path, radius, range_boundary
 
 SEMINORM_TOL = 1e-6  # bracket width, relative to max |T_ij|
-# Barrier path: Newton steps centre each mu level, up to and including one
-# with decrement -grad.step <= CENTRE_TOL * mu; then mu shrinks by MU_SHRINK,
-# down to END_TOL * ||T||_F / (8n).  CENTRE_STEPS is only a safety stop: the
-# slowest level seen on benchmark-shaped inputs (n <= 16) takes 41 steps.
-CENTRE_TOL = 1e-6
-CENTRE_STEPS = 100
-MU_SHRINK = 0.02
-END_TOL = 1e-10
+END_TOL = 5e-9  # the barrier path ends with its first level at mu <= END_TOL * ||T||_F / (8n)
 KAPPA_DIRECTIONS = 64  # support grid of the radius inside kappa_search
 KAPPA_BUDGET = 20  # default radius/seminorm evaluations of kappa_search
 
@@ -100,23 +94,23 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
     (sigma = ||T - diag(d)||), certified by a dual bound.
 
     Works on the epigraph form  min s  s.t.  Z = [[sI, M], [M*, sI]] >= 0 with
-    M = T - diag(d) and both diagonal sums of d pinned to zero; damped Newton
-    steps centre the logdet barrier on each level of a decreasing mu path.
-    The sparsity of the constraint derivatives makes gradient and Hessian
-    assembly O(n^2) from W = Z^-1.
+    M = T - diag(d) and both diagonal sums of d pinned to zero, following the
+    shared centred log-det barrier path (crange._centred_path) in the real
+    variables (s, Re d, Im d); the pin is two extra rows of the Newton KKT
+    system.  The sparsity of the constraint derivatives makes gradient and
+    Hessian assembly O(n^2) from W = Z^-1.
 
     Returns (value, d, lower) with value attained by d.  For Y, the
     lower-left block of W with its diagonal replaced by its mean,
     tr(Y D) = 0 for every trace-zero diagonal D, so |tr(Y T)| =
     |tr(Y (T - D))| <= ||Y||_1 ||T - D||: lower is the best |tr(Y T)| / ||Y||_1
-    over the centred levels.  The last level alone is not enough: its slack
-    s - sigma is so small that rounding leaves W's diagonal uneven by up to
-    ~1e-5 relative, and the averaging turns that into a loss of ~1e-6."""
+    over the centred levels, read by the path's level hook.  The last level
+    alone is not enough: its slack s - sigma is so small that rounding leaves
+    W's diagonal uneven by up to ~1e-5 relative, and the averaging turns that
+    into a loss of ~1e-6."""
     n = t.shape[0]
     scale = matcore.frobenius(t)
     s = sigma + max(0.02 * sigma, 1e-4 * scale)
-    mu = max(s - sigma, 1e-5 * scale)
-    mu_end = END_TOL * scale / (8.0 * n)
 
     # Newton KKT matrix: the Hessian block is rewritten at every step, the
     # rows and columns pinning both diagonal sums of d stay fixed
@@ -125,63 +119,46 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
     kkt[2 * n + 2, n + 1 : 2 * n + 1] = kkt[n + 1 : 2 * n + 1, 2 * n + 2] = 1.0
     hess = kkt[: 2 * n + 1, : 2 * n + 1]
 
-    def inverse(z):
-        w = np.linalg.inv(z)
-        return (w + w.conj().T) / 2.0
+    def diagonal(x):
+        return x[1 : n + 1] + 1j * x[n + 1 :]
 
-    def try_factor(s_val, d_val):
-        """Cholesky of the slack matrix: positivity test plus log-det."""
-        z = _dilation(t - np.diag(d_val), s_val)
-        try:
-            c = np.linalg.cholesky(z)
-        except np.linalg.LinAlgError:
-            return None, None
-        return z, 2.0 * float(np.sum(np.log(np.diag(c).real)))
+    def newton(w, mu):
+        w2 = w @ w
+        w21 = w[n:, :n]
+        p1 = w21 * w21.T
+        p2 = w[:n, :n].T * w[n:, n:]
+        g_d = 2.0 * mu * np.conj(np.diag(w21))
+        grad = np.concatenate([[1.0 - mu * float(np.trace(w).real)], g_d.real, g_d.imag])
+        hess[0, 0] = mu * float(np.trace(w2).real)
+        h_d = -2.0 * mu * np.conj(np.diag(w2[n:, :n]))
+        hess[0, 1 : n + 1] = hess[1 : n + 1, 0] = h_d.real
+        hess[0, n + 1 :] = hess[n + 1 :, 0] = h_d.imag
+        hess[1 : n + 1, 1 : n + 1] = 2.0 * mu * (p1 + p2).real
+        hess[1 : n + 1, n + 1 :] = 2.0 * mu * (p2 - p1).imag
+        hess[n + 1 :, 1 : n + 1] = hess[1 : n + 1, n + 1 :].T
+        hess[n + 1 :, n + 1 :] = 2.0 * mu * (p2 - p1).real
+        return grad, np.linalg.solve(kkt, np.concatenate([-grad, [0.0, 0.0]]))[: 2 * n + 1]
 
-    z, logdet = try_factor(s, d)
-    lower = 0.0
-    while mu > mu_end:
-        for _ in range(CENTRE_STEPS):
-            w = inverse(z)
-            w2 = w @ w
-            w21 = w[n:, :n]
-            p1 = w21 * w21.T
-            p2 = w[:n, :n].T * w[n:, n:]
-            g_d = 2.0 * mu * np.conj(np.diag(w21))
-            grad = np.concatenate([[1.0 - mu * float(np.trace(w).real)], g_d.real, g_d.imag])
-            hess[0, 0] = mu * float(np.trace(w2).real)
-            h_d = -2.0 * mu * np.conj(np.diag(w2[n:, :n]))
-            hess[0, 1 : n + 1] = hess[1 : n + 1, 0] = h_d.real
-            hess[0, n + 1 :] = hess[n + 1 :, 0] = h_d.imag
-            hess[1 : n + 1, 1 : n + 1] = 2.0 * mu * (p1 + p2).real
-            hess[1 : n + 1, n + 1 :] = 2.0 * mu * (p2 - p1).imag
-            hess[n + 1 :, 1 : n + 1] = hess[1 : n + 1, n + 1 :].T
-            hess[n + 1 :, n + 1 :] = 2.0 * mu * (p2 - p1).real
-            try:
-                step = np.linalg.solve(kkt, np.concatenate([-grad, [0.0, 0.0]]))[: 2 * n + 1]
-            except np.linalg.LinAlgError:
-                break
-            f0 = s - mu * logdet
-            tstep = 1.0
-            for _ in range(40):
-                s_new = s + tstep * step[0]
-                d_new = d + tstep * (step[1 : n + 1] + 1j * step[n + 1 :])
-                z_new, logdet_new = try_factor(s_new, d_new)
-                if z_new is not None and s_new - mu * logdet_new <= f0 + 1e-12 * (1.0 + abs(f0)):
-                    s, d, z, logdet = s_new, d_new, z_new, logdet_new
-                    break
-                tstep *= 0.5
-            else:
-                break
-            if -float(grad @ step) <= CENTRE_TOL * mu:
-                break
-        y = inverse(z)[n:, :n]
+    lowers = [0.0]
+
+    def level(w):
+        y = w[n:, :n]
         np.fill_diagonal(y, np.mean(np.diag(y)))
         nuclear = float(np.sum(_singular_values(y)))
         if nuclear > 0.0:
-            lower = max(lower, abs(complex(np.sum(y * t.T))) / nuclear)
-        mu *= MU_SHRINK
-    return float(_singular_values(t - np.diag(d))[-1]), d, lower
+            lowers.append(abs(complex(np.sum(y * t.T))) / nuclear)
+
+    x = _centred_path(
+        np.eye(2 * n + 1)[0],
+        lambda x: _dilation(t - np.diag(diagonal(x)), x[0]),
+        newton,
+        np.concatenate([[s], d.real, d.imag]),
+        max(s - sigma, 1e-5 * scale),
+        lambda mu: mu <= END_TOL * scale / (8.0 * n),
+        level,
+    )
+    d = diagonal(x)
+    return float(_singular_values(t - np.diag(d))[-1]), d, max(lowers)
 
 
 def correlation_seminorm_full(t) -> SeminormResult:

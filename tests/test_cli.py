@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnr import jsonio
+from cnr import jsonio, ucrange
 from cnr.cli import _build_parser, main
 from cnr.decompose import certificate_from_obj
 from cnr.errors import DimensionMismatchError, MatrixParseError
@@ -257,6 +257,18 @@ def test_contains_nonfinite_point_exits_2(tmp_path, e12_file, capsys, point):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("error: point must be finite") and captured.err.count("\n") == 1
+
+
+def test_wuc_rejects_tol_before_sampling(e12_file, monkeypatch, capsys):
+    # the tol check is made where the setting is made, before any sample
+    def sample(*args):
+        raise AssertionError("unitary samples drawn before --tol was checked")
+
+    monkeypatch.setattr(ucrange, "wuc_inner", sample)
+    assert main(["wuc", "--input", e12_file, "--tol", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tol must be positive and finite") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

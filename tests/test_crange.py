@@ -135,7 +135,7 @@ def test_contains_rejects_nonfinite_point(point):
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_tol_must_be_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        crange.support_direction(A21, 0.3, crange.SolveConfig(tol=tol))
+        crange.SolveConfig(tol=tol)
 
 
 def test_min_real_value():

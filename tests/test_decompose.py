@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cnr import matcore
+from cnr import crange, matcore
 from cnr.decompose import (
     Decomposition,
     SosCertificate,
@@ -105,6 +105,33 @@ def test_equivalence_and_margin_agreement():
         except NotDecomposableError:
             succeeded = False
         assert succeeded == nn.nonnegative
+
+
+def test_decompose_polishes_open_support_gap(monkeypatch):
+    # the benchmark's split recipe P + D at n = 4: its support gap g closes
+    # without polish, and at tol = 2g it exceeds tol / 4, so decompose
+    # polishes; the gap lies on the primal side, which the path cannot close
+    rng = np.random.default_rng(10)
+    z = matcore.ginibre_random(4, rng)
+    d_re, d_im = rng.standard_normal(4), rng.standard_normal(4)
+    a = z @ z.conj().T / 4 + np.diag(d_re - d_re.mean()) + 1j * np.diag(d_im - d_im.mean())
+    g = nonnegativity_test(a).support.gap
+    cfg = crange.SolveConfig(tol=2.0 * g)
+    nn = nonnegativity_test(a, cfg)
+    assert nn.support.certified and nn.support.gap == g
+    paths = []
+    centred_path = crange._centred_path
+
+    def path(*args):
+        paths.append(args)
+        return centred_path(*args)
+
+    monkeypatch.setattr(crange, "_centred_path", path)
+    dec = decompose(a, cfg)
+    assert len(paths) == 1  # the polish ran the barrier path, the support solve did not
+    assert nn.margin <= dec.margin <= nn.margin + cfg.tol
+    assert np.linalg.eigvalsh(dec.P)[0] >= -1e-12
+    assert verify_certificate(a, sos_certificate(dec)).valid
 
 
 def test_stability_under_small_perturbation():

@@ -50,7 +50,6 @@ from .metrics import (
     kappa_search,
 )
 from .ucrange import (
-    UnitaryTuple,
     WucApproximation,
     compare_ranges,
     induced_correlation,
@@ -70,7 +69,6 @@ __all__ = [
     "SosCertificate",
     "SpectralDecomposition",
     "SupportResult",
-    "UnitaryTuple",
     "WucApproximation",
     "classical_support",
     "compare_ranges",

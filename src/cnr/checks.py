@@ -284,7 +284,7 @@ def ucrange_suite(n: int, seed: int, count: int = 60) -> list[CheckResult]:
         except CnrError:
             in_elliptope = False
     t = matcore.ginibre_random(n, rng)
-    cmp_res = ucrange.compare_ranges(t, m=32, samples=300, rng=rng)
+    cmp_res = ucrange.compare_ranges(t, ucrange.wuc_inner(t, samples=300, rng=rng), m=32)
     return [
         CheckResult("induced_in_elliptope", in_elliptope, f"{count} tuples"),
         CheckResult(

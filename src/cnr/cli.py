@@ -252,8 +252,8 @@ def _cmd_wuc(args) -> int:
     a = jsonio.load_matrix(args.input)
     cfg = _config(args)  # rejects a bad --tol before any sample is drawn
     approx = ucrange.wuc_inner(a, args.k_list, args.samples, np.random.default_rng([args.seed, 17]))
-    rb = range_boundary(a, args.directions, cfg)
-    cmp_res = ucrange.compare_ranges(a, cfg, boundary=rb, approx=approx)
+    cmp_res = ucrange.compare_ranges(a, approx, args.directions, cfg)
+    rb = cmp_res.boundary
     if args.svg:
         jsonio.save_text(
             args.svg,

@@ -101,13 +101,3 @@ def correlation_2x2(z: complex) -> CorrelationMatrix:
         raise OutOfDiskError(f"|z| = {abs(z):.6f} exceeds 1")
     return CorrelationMatrix(np.array([[1.0, z], [z.conjugate(), 1.0]], dtype=np.complex128))
 
-
-def refactor(b: CorrelationMatrix) -> GramFactor:
-    """Recover a Gram factor of a valid correlation matrix (spectral square
-    root; tiny negative eigenvalues are clipped)."""
-    dec = matcore.hermitian_eigs(b.matrix)
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    v = dec.eigenvectors * np.sqrt(lam)[None, :]
-    norms = np.linalg.norm(v, axis=1)
-    v /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    return GramFactor(v)

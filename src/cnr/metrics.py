@@ -46,11 +46,14 @@ class SeminormResult:
 class KappaEstimate:
     """Search record for the equivalence constant at dimension n.
 
-    best_ratio is an upper bound on kappa by construction.  lower_bound is
-    the proven 1/(4n+2).  quoted_upper records the 2/n figure; the direct
-    sum law applied to the canonical witness (a single off-diagonal one
-    padded by zeros) gives radius 1/n, not 2/n, so the witness ratio sits
-    below quoted_upper and the discrepancy is flagged, not resolved.
+    best_ratio is the smallest radius/seminorm ratio the search found.  It
+    divides a radius lower bound by a seminorm upper bound, so it can sit
+    below its witness's true ratio: it estimates kappa from above but is
+    not a proven upper bound.  lower_bound is the proven 1/(4n+2).
+    quoted_upper records the 2/n figure; the direct sum law applied to the
+    canonical witness (a single off-diagonal one padded by zeros) gives
+    radius 1/n, not 2/n, so the witness ratio sits below quoted_upper and
+    the discrepancy is flagged, not resolved.
     """
 
     n: int

@@ -1,13 +1,15 @@
 """Unitarily induced correlation matrices and inner approximations of the
 induced range.
 
-A tuple of n unitary k x k matrices induces the correlation matrix of their
-normalized trace inner products ((1/k) Tr(U_j* U_i)); each unitary is a unit
-vector in that inner product, so the result always lies in the elliptope.
-The induced range of T is the convex hull of the trace values over such
-matrices; sampling tuples gives an inner approximation.  The family of
-induced matrices itself is not convex, so nothing here averages two tuples
-and claims the result is induced: hulls are labeled as hulls.
+A tuple of n unitary k x k matrices is one complex (n, k, k) array.  It
+induces the correlation matrix of their normalized trace inner products
+((1/k) Tr(U_j* U_i)); each unitary is a unit vector in that inner product,
+so the result always lies in the elliptope.  The induced range of T is the
+convex hull of the trace values over such matrices; sampling tuples gives an
+inner approximation, which compare_ranges measures against the certified
+correlation range it solves for.  The family of induced matrices itself is
+not convex, so nothing here averages two tuples and claims the result is
+induced: hulls are labeled as hulls.
 """
 
 from __future__ import annotations
@@ -27,21 +29,6 @@ DEFAULT_SAMPLES = 2000
 
 
 @dataclass
-class UnitaryTuple:
-    """n unitaries of a common inner dimension k."""
-
-    unitaries: list[np.ndarray]
-
-    @property
-    def n(self) -> int:
-        return len(self.unitaries)
-
-    @property
-    def k(self) -> int:
-        return self.unitaries[0].shape[0]
-
-
-@dataclass
 class WucApproximation:
     """Sampled trace values and their convex hull (an inner approximation)."""
 
@@ -54,70 +41,62 @@ class WucApproximation:
 class WucComparison:
     inclusion_margin: float
     deficit: float
-    points: int
-    sample_meta: dict
+    boundary: RangeBoundary
 
 
-def _check_unitary(u: np.ndarray) -> None:
-    k = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(k))) > UNITARY_TOL:
+def induced_correlation(u) -> CorrelationMatrix:
+    """Correlation matrix (1/k) Tr(U_j* U_i) of an (n, k, k) unitary tuple;
+    entry (i, j) is the trace inner product of U_i against U_j, normalized
+    by the inner dimension so the diagonal is one."""
+    u = np.asarray(u)
+    if u.ndim != 3 or u.shape[1] != u.shape[2] or 0 in u.shape:
+        raise NotUnitaryError(f"expected an (n, k, k) unitary tuple, got shape {u.shape}")
+    n, k, _ = u.shape
+    if np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(k))) > UNITARY_TOL:
         raise NotUnitaryError("tuple entries must be unitary")
+    v = u.reshape(n, k * k)
+    return validate_correlation((v @ v.conj().T) / k)
 
 
-def induced_correlation(t: UnitaryTuple) -> CorrelationMatrix:
-    """Correlation matrix (1/k) Tr(U_j* U_i); entry (i, j) is the trace
-    inner product of U_i against U_j, normalized by the inner dimension so
-    the diagonal is one."""
-    k = t.k
-    for u in t.unitaries:
-        if u.shape != (k, k):
-            raise NotUnitaryError("tuple entries must share one dimension")
-        _check_unitary(u)
-    v = np.stack([u.ravel() for u in t.unitaries])
-    b = (v @ v.conj().T) / k
-    return validate_correlation(b)
+def _diagonals(d: np.ndarray) -> np.ndarray:
+    """The rows of an (n, k) array as an (n, k, k) tuple of diagonal matrices."""
+    n, k = d.shape
+    u = np.zeros((n, k, k), dtype=np.complex128)
+    u[:, np.arange(k), np.arange(k)] = d
+    return u
 
 
-def haar_tuple(n: int, k: int, rng: np.random.Generator) -> UnitaryTuple:
-    return UnitaryTuple([matcore.haar_unitary(k, rng) for _ in range(n)])
+def haar_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    return np.stack([matcore.haar_unitary(k, rng) for _ in range(n)])
 
 
-def phase_tuple(n: int, k: int, rng: np.random.Generator) -> UnitaryTuple:
+def phase_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Commuting diagonal-phase unitaries."""
-    return UnitaryTuple(
-        [np.diag(np.exp(2j * np.pi * rng.random(k))) for _ in range(n)]
-    )
+    return _diagonals(np.exp(2j * np.pi * rng.random((n, k))))
 
 
-def scalar_tuple(n: int, k: int, rng: np.random.Generator) -> UnitaryTuple:
+def scalar_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Scalar phases times the identity: induces a rank-one correlation
     matrix (an extreme point class Haar sampling misses)."""
     phases = np.exp(2j * np.pi * rng.random(n))
+    return phases[:, None, None] * np.eye(k, dtype=np.complex128)
+
+
+def permutation_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     eye = np.eye(k, dtype=np.complex128)
-    return UnitaryTuple([ph * eye for ph in phases])
+    return eye[np.array([rng.permutation(k) for _ in range(n)])]
 
 
-def permutation_tuple(n: int, k: int, rng: np.random.Generator) -> UnitaryTuple:
-    eye = np.eye(k, dtype=np.complex128)
-    return UnitaryTuple([eye[rng.permutation(k)] for _ in range(n)])
-
-
-def disk_tuples_2x2(k: int, radii, phases) -> list[UnitaryTuple]:
-    """For n = 2: tuples (I, U) whose induced off-diagonal entry is exactly
-    r * exp(i psi), by averaging k diagonal phases split evenly between
-    +/- arccos r.  Covers the whole parameter disk of the 2 x 2 elliptope
-    on a grid.  k must be even so the split is exact."""
-    if k % 2 != 0:
-        raise ValueError("disk grid tuples need an even inner dimension")
-    eye = np.eye(k, dtype=np.complex128)
+def disk_tuples_2x2(radii, phases) -> list[np.ndarray]:
+    """For n = 2: tuples (I, diag(d)) with d = exp(i(+/-arccos r - psi)),
+    whose induced off-diagonal entry is exactly r * exp(i psi).  Covers the
+    whole parameter disk of the 2 x 2 elliptope on a grid."""
     out = []
-    half = k // 2
     for r in radii:
         alpha = float(np.arccos(np.clip(r, -1.0, 1.0)))
-        base = np.array([alpha] * half + [-alpha] * half)
         for psi in phases:
-            d = np.exp(1j * (base - psi))  # mean of conj(d) = r * exp(i psi)
-            out.append(UnitaryTuple([eye, np.diag(d)]))
+            d = np.exp(1j * (np.array([alpha, -alpha]) - psi))  # mean of conj(d) = r e^{i psi}
+            out.append(_diagonals(np.stack([np.ones(2), d])))
     return out
 
 
@@ -139,22 +118,19 @@ def wuc_inner(
     k_list = [int(k) for k in k_list]
     if not k_list:
         raise ValueError("k_list must name at least one inner dimension")
+    if min(k_list) < 1:
+        raise ValueError(f"k_list entries must be at least 1, got {k_list}")
     t = matcore.as_matrix(t)
     n = t.shape[0]
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    tuples: list[UnitaryTuple] = []
-    n_grid = 0
+    tuples: list[np.ndarray] = []
     if n == 2:
-        n_grid = max(samples // 4, 8)
-        g = int(np.ceil(np.sqrt(n_grid / 4)))
+        g = int(np.ceil(np.sqrt(max(samples // 4, 8) / 4)))
         radii = np.linspace(0.0, 1.0, g + 1)[1:]
         phases = np.linspace(0.0, 2.0 * np.pi, 4 * g, endpoint=False)
-        k_even = max(k for k in k_list) if any(k % 2 == 0 for k in k_list) else 2
-        k_even = k_even if k_even % 2 == 0 else k_even + 1
-        grid = disk_tuples_2x2(k_even, radii, phases)
-        tuples.extend(grid)
-        n_grid = len(grid)
+        tuples.extend(disk_tuples_2x2(radii, phases))
+    n_grid = len(tuples)
     n_structured = max(samples // 5, 3)
     for j in range(n_structured):
         k = k_list[j % len(k_list)]
@@ -169,10 +145,7 @@ def wuc_inner(
     for j in range(n_haar):
         tuples.append(haar_tuple(n, k_list[j % len(k_list)], rng))
 
-    points = np.empty(len(tuples), dtype=np.complex128)
-    for i, tup in enumerate(tuples):
-        b = induced_correlation(tup).matrix
-        points[i] = np.sum(t * b.T) / n
+    points = np.array([np.sum(t * induced_correlation(u).matrix.T) / n for u in tuples])
     hull = geometry.convex_hull(np.column_stack([points.real, points.imag]))
     meta = {
         "k_values": list(k_list),
@@ -184,17 +157,11 @@ def wuc_inner(
 
 
 def compare_ranges(
-    t,
-    cfg: SolveConfig = SolveConfig(),
-    m: int = 128,
-    k_list=DEFAULT_K_LIST,
-    samples: int = DEFAULT_SAMPLES,
-    rng: np.random.Generator | None = None,
-    boundary: RangeBoundary | None = None,
-    approx: WucApproximation | None = None,
+    t, approx: WucApproximation, m: int = 128, cfg: SolveConfig = SolveConfig()
 ) -> WucComparison:
-    """Inclusion margins and coverage deficit of the sampled induced range
-    against the certified correlation range.
+    """Inclusion margin and coverage deficit of the sampled induced range
+    approx against the certified correlation range of T on m directions,
+    which is returned as boundary.
 
     inclusion_margin is the smallest slack of any sampled point against any
     certified supporting half-plane (>= -1e-8 expected always).  deficit is
@@ -202,22 +169,9 @@ def compare_ranges(
     to the sampled hull: a convergence diagnostic for n <= 3 (where the two
     ranges agree), a plain coverage report otherwise.
     """
-    t = matcore.as_matrix(t)
-    if boundary is None:
-        boundary = range_boundary(t, m, cfg)
-    if approx is None:
-        approx = wuc_inner(t, k_list, samples, rng)
-    thetas = boundary.thetas()
-    supports = boundary.supports()
-    proj = np.cos(thetas)[:, None] * approx.points.real[None, :] + np.sin(thetas)[
-        :, None
-    ] * approx.points.imag[None, :]
-    inclusion = float(np.min(supports[:, None] - proj))
-    inner = boundary.inner_hull()
-    deficit = geometry.directed_hausdorff(inner, approx.hull)
-    return WucComparison(
-        inclusion_margin=inclusion,
-        deficit=float(deficit),
-        points=len(approx.points),
-        sample_meta=approx.sample_meta,
-    )
+    boundary = range_boundary(matcore.as_matrix(t), m, cfg)
+    thetas, points = boundary.thetas(), approx.points
+    proj = np.cos(thetas)[:, None] * points.real + np.sin(thetas)[:, None] * points.imag
+    inclusion = float(np.min(boundary.supports()[:, None] - proj))
+    deficit = geometry.directed_hausdorff(boundary.inner_hull(), approx.hull)
+    return WucComparison(inclusion_margin=inclusion, deficit=float(deficit), boundary=boundary)

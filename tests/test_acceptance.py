@@ -222,7 +222,7 @@ def test_criterion_8_induced_range_inclusion_and_convergence():
         t = matcore.ginibre_random(2, rng)
         approx = ucrange.wuc_inner(t, k_list=[16], samples=2000,
                                    rng=np.random.default_rng([808, case]))
-        cmp_res = ucrange.compare_ranges(t, m=128, approx=approx)
+        cmp_res = ucrange.compare_ranges(t, approx, m=128)
         worst_margin = min(worst_margin, cmp_res.inclusion_margin)
         worst_deficit = max(worst_deficit, cmp_res.deficit)
     elapsed = time.perf_counter() - t0

@@ -278,15 +278,22 @@ def test_wuc_rejects_tol_before_sampling(e12_file, monkeypatch, capsys):
         ["kappa", "--n", "2", "--budget", "-5"],
         ["check", "--suite", "duality", "--n", "2", "--count", "0"],
         ["wuc", "--input", "E12", "--k-list", ",", "--samples", "20", "--directions", "3"],
+        ["wuc", "--input", "E12", "--k-list", "0", "--samples", "20", "--directions", "3"],
+        ["wuc", "--input", "E12", "--k-list=-1", "--samples", "20", "--directions", "3"],
+        ["wuc", "--input", "E12", "--k-list", "1,0", "--samples", "20", "--directions", "3"],
     ],
-    ids=["budget-0", "budget-negative", "count-0", "k-list-empty"],
+    ids=["budget-0", "budget-negative", "count-0", "k-list-empty", "k-list-0", "k-list-negative",
+         "k-list-1,0"],
 )
 def test_rejected_settings_exit_2(e12_file, capsys, argv):
-    # out-of-range counts are rejected, not clamped and reported as given
+    # out-of-range counts are rejected, not clamped and reported as given,
+    # in one line naming the setting
+    name = {"kappa": "budget", "check": "count", "wuc": "k_list"}[argv[0]]
     argv = [e12_file if word == "E12" else word for word in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.out == "" and captured.err.startswith(f"error: {name} ")
+    assert captured.err.count("\n") == 1
 
 
 def test_check_all_suites_n1(tmp_path, capsys):

@@ -73,21 +73,6 @@ def test_random_correlation_valid_and_reproducible():
     assert np.allclose(elliptope.random_correlation(1, np.random.default_rng(0)).matrix, [[1.0]])
 
 
-def test_refactor_round_trip():
-    rng = np.random.default_rng(3)
-    for n in (2, 3, 5, 7):
-        b = elliptope.random_correlation(n, rng)
-        g = elliptope.refactor(b)
-        b2 = elliptope.gram_to_correlation(g).matrix
-        assert np.linalg.norm(b2 - b.matrix) <= 1e-9
-
-
-def test_refactor_rank_deficient_boundary_point():
-    b = elliptope.correlation_2x2(1.0)  # rank one
-    g = elliptope.refactor(b)
-    assert np.linalg.norm(elliptope.gram_to_correlation(g).matrix - b.matrix) <= 1e-9
-
-
 def test_transpose_closure():
     rng = np.random.default_rng(8)
     for _ in range(15):

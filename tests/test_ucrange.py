@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cnr import matcore, ucrange
-from cnr.crange import SolveConfig, range_boundary
 from cnr.elliptope import validate_correlation
 from cnr.errors import NotUnitaryError
 
@@ -10,7 +9,7 @@ from cnr.errors import NotUnitaryError
 def test_induced_scalar_phases_rank_one():
     rng = np.random.default_rng(0)
     phases = np.exp(2j * np.pi * rng.random(3))
-    tup = ucrange.UnitaryTuple([np.array([[p]]) for p in phases])
+    tup = phases[:, None, None]
     b = ucrange.induced_correlation(tup).matrix
     expected = np.outer(phases, phases.conj())
     assert np.allclose(b, expected, atol=1e-12)
@@ -18,23 +17,51 @@ def test_induced_scalar_phases_rank_one():
 
 def test_induced_equal_unitaries_all_ones():
     u = matcore.haar_unitary(4, np.random.default_rng(1))
-    b = ucrange.induced_correlation(ucrange.UnitaryTuple([u, u, u])).matrix
+    b = ucrange.induced_correlation(np.stack([u, u, u])).matrix
     assert np.allclose(b, np.ones((3, 3)), atol=1e-12)
 
 
 def test_induced_orthogonal_pair():
-    tup = ucrange.UnitaryTuple([np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)])
+    tup = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex)
     b = ucrange.induced_correlation(tup).matrix
     assert np.allclose(b, np.eye(2), atol=1e-14)
 
 
 def test_induced_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
-        ucrange.induced_correlation(ucrange.UnitaryTuple([np.eye(2) * 2.0, np.eye(2)]))
-    with pytest.raises(NotUnitaryError):
-        ucrange.induced_correlation(
-            ucrange.UnitaryTuple([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
-        )
+        ucrange.induced_correlation(np.stack([np.eye(2) * 2.0, np.eye(2)]))
+    with pytest.raises(NotUnitaryError):  # one unitary, not a tuple of them
+        ucrange.induced_correlation(np.eye(2, dtype=complex))
+    with pytest.raises(NotUnitaryError):  # entries must be square
+        ucrange.induced_correlation(np.stack([np.eye(2, 3)] * 2))
+
+
+def _trace_loop(u):
+    """(1/k) Tr(U_j* U_i), one entry at a time."""
+    n, k = len(u), u[0].shape[0]
+    b = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            b[i, j] = np.trace(u[j].conj().T @ u[i]) / k
+    return b
+
+
+@pytest.mark.parametrize(
+    "make",
+    [ucrange.haar_tuple, ucrange.phase_tuple, ucrange.scalar_tuple, ucrange.permutation_tuple],
+)
+def test_induced_matches_trace_loop(make):
+    rng = np.random.default_rng(10)
+    for n, k in [(1, 1), (3, 1), (1, 4), (2, 2), (4, 3), (3, 6)]:
+        u = make(n, k, rng)
+        assert u.shape == (n, k, k)
+        assert np.max(np.abs(ucrange.induced_correlation(u).matrix - _trace_loop(u))) <= 1e-12
+
+
+def test_induced_disk_pair_matches_trace_loop():
+    for u in ucrange.disk_tuples_2x2([0.0, 0.3, 1.0], [0.0, 2.0]):
+        assert u.shape == (2, 2, 2)
+        assert np.max(np.abs(ucrange.induced_correlation(u).matrix - _trace_loop(u))) <= 1e-12
 
 
 def test_induced_matrices_in_elliptope():
@@ -57,15 +84,13 @@ def test_induced_matrices_in_elliptope():
 def test_disk_tuples_hit_requested_values():
     radii = [0.25, 0.75, 1.0]
     phases = [0.0, 1.1, 3.9]
-    tuples = ucrange.disk_tuples_2x2(16, radii, phases)
+    tuples = ucrange.disk_tuples_2x2(radii, phases)
     idx = 0
     for r in radii:
         for psi in phases:
             b = ucrange.induced_correlation(tuples[idx]).matrix
             assert b[0, 1] == pytest.approx(r * np.exp(1j * psi), abs=1e-12)
             idx += 1
-    with pytest.raises(ValueError):
-        ucrange.disk_tuples_2x2(3, radii, phases)
 
 
 def test_wuc_inner_diagonal_matrix_collapses():
@@ -80,24 +105,18 @@ def test_wuc_inner_disk_coverage():
     approx = ucrange.wuc_inner(t, k_list=[16], samples=800, rng=np.random.default_rng(4))
     radii = np.abs(approx.points)
     assert radii.max() <= 0.5 + 1e-10
-    cmp_res = ucrange.compare_ranges(
-        t, SolveConfig(), m=64, approx=approx
-    )
+    cmp_res = ucrange.compare_ranges(t, approx, m=64)
     assert cmp_res.deficit <= 0.02
     assert cmp_res.inclusion_margin >= -1e-8
 
 
 def test_wuc_deficit_shrinks_with_samples():
     t = matcore.ginibre_random(2, np.random.default_rng(5))
-    cfg = SolveConfig()
-    rb = range_boundary(t, 64, cfg)
     small = ucrange.compare_ranges(
-        t, cfg, boundary=rb,
-        approx=ucrange.wuc_inner(t, samples=60, rng=np.random.default_rng(6)),
+        t, ucrange.wuc_inner(t, samples=60, rng=np.random.default_rng(6)), m=64
     )
     big = ucrange.compare_ranges(
-        t, cfg, boundary=rb,
-        approx=ucrange.wuc_inner(t, samples=2000, rng=np.random.default_rng(6)),
+        t, ucrange.wuc_inner(t, samples=2000, rng=np.random.default_rng(6)), m=64
     )
     assert big.deficit <= small.deficit + 1e-12
     assert big.deficit <= 0.02
@@ -107,7 +126,7 @@ def test_wuc_inclusion_generic():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4):
         t = matcore.ginibre_random(n, rng)
-        cmp_res = ucrange.compare_ranges(t, SolveConfig(), m=48, samples=250, rng=rng)
+        cmp_res = ucrange.compare_ranges(t, ucrange.wuc_inner(t, samples=250, rng=rng), m=48)
         assert cmp_res.inclusion_margin >= -1e-8
 
 
@@ -117,3 +136,15 @@ def test_wuc_meta_reports_generators():
     meta = approx.sample_meta
     assert meta["k_values"] == [2, 4]
     assert meta["haar"] + meta["structured"] + meta["grid"] == len(approx.points)
+
+
+@pytest.mark.parametrize("k_list", [[0], [-1], [1, 0]])
+def test_wuc_rejects_k_below_one(k_list, monkeypatch):
+    def draw(*args):
+        raise AssertionError("a tuple was drawn before k_list was checked")
+
+    for name in ("haar_tuple", "phase_tuple", "scalar_tuple", "permutation_tuple"):
+        monkeypatch.setattr(ucrange, name, draw)
+    t = matcore.ginibre_random(3, np.random.default_rng(11))
+    with pytest.raises(ValueError, match="k_list"):
+        ucrange.wuc_inner(t, k_list=k_list, samples=20)

@@ -33,6 +33,7 @@ from .decompose import (
 from .crange import (
     DIRECTIONS,
     SolveConfig,
+    check_directions,
     contains,
     matrix_hash,
     radius_full,
@@ -251,6 +252,7 @@ def _cmd_verify(args) -> int:
 def _cmd_wuc(args) -> int:
     a = jsonio.load_matrix(args.input)
     cfg = _config(args)  # rejects a bad --tol before any sample is drawn
+    check_directions(args.directions)  # and too few --directions
     approx = ucrange.wuc_inner(a, args.k_list, args.samples, np.random.default_rng([args.seed, 17]))
     cmp_res = ucrange.compare_ranges(a, approx, args.directions, cfg)
     rb = cmp_res.boundary

@@ -343,11 +343,17 @@ def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> Supp
     )
 
 
+def check_directions(m: int) -> None:
+    """Reject a support grid of fewer than 3 directions, whose supporting
+    half-planes cannot bound the range."""
+    if m < 3:
+        raise ValueError("need at least 3 directions")
+
+
 def range_boundary(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> RangeBoundary:
     """Support solves at theta_k = 2 pi k / m; the hull of the witness points
     and the intersection of the supporting half-planes sandwich the range."""
-    if m < 3:
-        raise ValueError("need at least 3 directions")
+    check_directions(m)
     a = matcore.as_matrix(a)
     samples = [support_direction(a, 2.0 * math.pi * k / m, cfg) for k in range(m)]
     radius = max(s.value for s in samples)

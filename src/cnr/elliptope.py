@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import DiagonalNotOneError, NotHermitianError, NotPsdError, OutOfDiskError
+from .errors import DiagonalNotOneError, NotHermitianError, NotPsdError, OutOfDiskError, require
 
 PSD_TOL = 1e-10
 DIAG_TOL = 1e-10
@@ -35,13 +35,13 @@ class GramFactor:
 
 @dataclass
 class CorrelationMatrix:
-    """Validated element of the elliptope."""
+    """Validated element of the elliptope, or a stack of them."""
 
     matrix: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def gram_factor(vectors) -> GramFactor:
@@ -64,21 +64,20 @@ def gram_to_correlation(g: GramFactor) -> CorrelationMatrix:
 
 
 def validate_correlation(b) -> CorrelationMatrix:
-    """Check Hermitian, unit diagonal, PSD; raise on violation.
+    """Check Hermitian, unit diagonal, PSD; raise on violation.  b may be a
+    stack of matrices (one leading axis): each is checked, and an error
+    names the first that fails.
 
     The PSD tolerance (smallest eigenvalue >= -1e-10) deliberately accepts
     boundary points: extreme points of the elliptope are rank-deficient.
     """
-    m = matcore.as_matrix(b)
-    if not matcore.is_hermitian(m):
-        raise NotHermitianError("correlation matrix must be Hermitian")
-    diag_err = np.max(np.abs(np.diag(m) - 1.0))
-    if diag_err > DIAG_TOL:
-        raise DiagonalNotOneError(f"diagonal deviates from one by {diag_err:.3e}")
-    lam_min = matcore.hermitian_eigs(m).eigenvalues[0]
-    if lam_min < -PSD_TOL:
-        raise NotPsdError(f"smallest eigenvalue {lam_min:.3e} below tolerance")
-    return CorrelationMatrix((m + m.conj().T) / 2.0)
+    m = matcore.as_matrix(b, stack=True)
+    require(matcore.is_hermitian(m), NotHermitianError, "correlation matrix must be Hermitian")
+    diag_err = np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1) - 1.0), axis=-1)
+    require(diag_err <= DIAG_TOL, DiagonalNotOneError, "diagonal deviates from one by {:.3e}", diag_err)
+    lam_min = matcore.hermitian_eigs(m).eigenvalues[..., 0]
+    require(lam_min >= -PSD_TOL, NotPsdError, "smallest eigenvalue {:.3e} below tolerance", lam_min)
+    return CorrelationMatrix((m + m.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def random_gram(n: int, rng: np.random.Generator) -> GramFactor:

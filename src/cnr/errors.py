@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that raises
+them for one matrix or for each matrix of a stack."""
+
+import numpy as np
 
 
 class CnrError(Exception):
@@ -54,3 +57,20 @@ class MatrixParseError(CnrError):
 
 class DimensionMismatchError(MatrixParseError):
     pass
+
+
+def require(ok, error: type[CnrError], message: str, *values) -> None:
+    """Raise error(message.format(*values)) unless ok holds.
+
+    For a stack of matrices, ok holds one verdict per matrix and each value
+    one entry per matrix: the error names the first matrix that fails and
+    formats the values at it.
+    """
+    if isinstance(ok, (bool, np.bool_)):
+        if not ok:
+            raise error(message.format(*values))
+        return
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = int(bad[0])
+        raise error(f"stack index {i}: " + message.format(*(v[i] for v in values)))

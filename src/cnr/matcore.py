@@ -2,7 +2,9 @@
 
 Hermitian eigendecomposition and operator norm (LAPACK through numpy.linalg),
 traces, Hermitian parts, and random matrix generation.  Everything operates
-on square complex128 numpy arrays and is pure given an explicit rng.
+on square complex128 numpy arrays and is pure given an explicit rng;
+is_hermitian and hermitian_eigs also take stacks of them along one leading
+axis, and ginibre_random and haar_unitary also make them.
 """
 
 from __future__ import annotations
@@ -11,16 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError
+from .errors import NotHermitianError, require
 
 ATOL = 1e-12
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite square complex128 array."""
+def as_matrix(a, stack: bool = False) -> np.ndarray:
+    """Coerce to a finite square complex128 array; with stack, also accept
+    a stack of them along one leading axis, as numpy.linalg does."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        what = "a square matrix or a stack of them" if stack else "a square matrix"
+        raise ValueError(f"expected {what}, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
@@ -30,27 +34,33 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def is_hermitian(m: np.ndarray) -> bool:
+def is_hermitian(m: np.ndarray):
+    """Hermitian to working precision: a bool for one matrix, an array of
+    them for a stack."""
     m = np.asarray(m)
-    return frobenius(m - m.conj().T) <= ATOL * (1.0 + frobenius(m))
+    if m.ndim == 2:
+        return frobenius(m - m.conj().T) <= ATOL * (1.0 + frobenius(m))
+    fro = np.linalg.norm(m, axis=(-2, -1))
+    return np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) <= ATOL * (1.0 + fro)
 
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns; for a
+    stack, one row of eigenvalues and one matrix of columns per matrix."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
 def hermitian_eigs(m) -> SpectralDecomposition:
-    """Full spectral decomposition of a Hermitian matrix (LAPACK via
-    np.linalg.eigh).  Raises NotHermitianError if the input is not Hermitian
-    to working precision; the exactly symmetrised matrix is decomposed."""
-    a = as_matrix(m)
-    if not is_hermitian(a):
-        raise NotHermitianError("input is not Hermitian to working precision")
-    lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    """Full spectral decomposition of a Hermitian matrix, or of each matrix
+    in a stack (LAPACK via np.linalg.eigh).  Raises NotHermitianError if an
+    input is not Hermitian to working precision; the exactly symmetrised
+    matrix is decomposed."""
+    a = as_matrix(m, stack=True)
+    require(is_hermitian(a), NotHermitianError, "input is not Hermitian to working precision")
+    lam, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
     return SpectralDecomposition(lam, v)
 
 
@@ -78,19 +88,22 @@ def hermitian_parts(m) -> tuple[np.ndarray, np.ndarray]:
     return s, k
 
 
-def ginibre_random(n: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. standard complex Gaussian entries."""
+def ginibre_random(n: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """i.i.d. standard complex Gaussian entries: an n x n matrix, or a
+    shape + (n, n) stack drawn as successive matrices would be."""
     if n < 1:
         raise ValueError("n must be positive")
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    g = rng.standard_normal(tuple(shape) + (2, n, n))  # real parts, then imaginary
+    return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
 
 
-def haar_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed k x k unitary: Ginibre, then QR with phase correction."""
+def haar_unitary(k: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Haar-distributed k x k unitary: Ginibre, then QR with phase correction
+    (Mezzadri, Notices AMS 2007).  With shape, a shape + (k, k) array of
+    independent ones from one draw and one stacked QR, reading the random
+    stream as successive single draws do."""
     if k < 1:
         raise ValueError("k must be positive")
-    z = ginibre_random(k, rng)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    ph = d / np.abs(d)
-    return q * ph
+    q, r = np.linalg.qr(ginibre_random(k, rng, shape))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

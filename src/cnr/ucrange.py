@@ -1,19 +1,21 @@
 """Unitarily induced correlation matrices and inner approximations of the
 induced range.
 
-A tuple of n unitary k x k matrices is one complex (n, k, k) array.  It
-induces the correlation matrix of their normalized trace inner products
-((1/k) Tr(U_j* U_i)); each unitary is a unit vector in that inner product,
-so the result always lies in the elliptope.  The induced range of T is the
-convex hull of the trace values over such matrices; sampling tuples gives an
-inner approximation, which compare_ranges measures against the certified
-correlation range it solves for.  The family of induced matrices itself is
-not convex, so nothing here averages two tuples and claims the result is
-induced: hulls are labeled as hulls.
+A tuple of n unitary k x k matrices is one complex (n, k, k) array, and a
+stack of same-k tuples one (count, n, k, k) array, validated in one call.
+A tuple induces the correlation matrix of the normalized trace inner
+products of its unitaries ((1/k) Tr(U_j* U_i)); each unitary is a unit
+vector in that inner product, so the result always lies in the elliptope.
+The induced range of T is the convex hull of the trace values over such
+matrices; sampling tuples gives an inner approximation, which compare_ranges
+measures against the certified correlation range it solves for.  The family
+of induced matrices itself is not convex, so nothing here averages two
+tuples and claims the result is induced: hulls are labeled as hulls.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +23,15 @@ import numpy as np
 from . import geometry, matcore
 from .crange import RangeBoundary, SolveConfig, range_boundary
 from .elliptope import CorrelationMatrix, validate_correlation
-from .errors import NotUnitaryError
+from .errors import NotUnitaryError, require
 
 UNITARY_TOL = 1e-10
 DEFAULT_K_LIST = (1, 2, 4, 8, 16)
 DEFAULT_SAMPLES = 2000
+# wuc_inner validates at most this many unitary entries (64 KiB of
+# complex128) per induced_correlation call: larger stacks save no more time
+# and raise peak memory
+BATCH_ENTRIES = 4096
 
 
 @dataclass
@@ -47,27 +53,31 @@ class WucComparison:
 def induced_correlation(u) -> CorrelationMatrix:
     """Correlation matrix (1/k) Tr(U_j* U_i) of an (n, k, k) unitary tuple;
     entry (i, j) is the trace inner product of U_i against U_j, normalized
-    by the inner dimension so the diagonal is one."""
+    by the inner dimension so the diagonal is one.  A (count, n, k, k) stack
+    of tuples gives the stack of their matrices, each checked on its own; an
+    error names the first tuple that fails."""
     u = np.asarray(u)
-    if u.ndim != 3 or u.shape[1] != u.shape[2] or 0 in u.shape:
-        raise NotUnitaryError(f"expected an (n, k, k) unitary tuple, got shape {u.shape}")
-    n, k, _ = u.shape
-    if np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(k))) > UNITARY_TOL:
-        raise NotUnitaryError("tuple entries must be unitary")
-    v = u.reshape(n, k * k)
-    return validate_correlation((v @ v.conj().T) / k)
+    if u.ndim not in (3, 4) or u.shape[-1] != u.shape[-2] or 0 in u.shape[-3:]:
+        raise NotUnitaryError(
+            f"expected an (n, k, k) unitary tuple or a stack of them, got shape {u.shape}"
+        )
+    n, k = u.shape[-3], u.shape[-1]
+    defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(k)), axis=(-3, -2, -1))
+    require(defect <= UNITARY_TOL, NotUnitaryError, "tuple entries must be unitary")
+    v = u.reshape(u.shape[:-3] + (n, k * k))
+    return validate_correlation((v @ v.conj().swapaxes(-1, -2)) / k)
 
 
 def _diagonals(d: np.ndarray) -> np.ndarray:
-    """The rows of an (n, k) array as an (n, k, k) tuple of diagonal matrices."""
-    n, k = d.shape
-    u = np.zeros((n, k, k), dtype=np.complex128)
-    u[:, np.arange(k), np.arange(k)] = d
+    """The rows of an (..., n, k) array as (..., n, k, k) diagonal matrices."""
+    k = d.shape[-1]
+    u = np.zeros(d.shape + (k,), dtype=np.complex128)
+    u[..., np.arange(k), np.arange(k)] = d
     return u
 
 
 def haar_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    return np.stack([matcore.haar_unitary(k, rng) for _ in range(n)])
+    return matcore.haar_unitary(k, rng, (n,))
 
 
 def phase_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -87,17 +97,32 @@ def permutation_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return eye[np.array([rng.permutation(k) for _ in range(n)])]
 
 
-def disk_tuples_2x2(radii, phases) -> list[np.ndarray]:
+def disk_tuples_2x2(radii, phases) -> np.ndarray:
     """For n = 2: tuples (I, diag(d)) with d = exp(i(+/-arccos r - psi)),
     whose induced off-diagonal entry is exactly r * exp(i psi).  Covers the
-    whole parameter disk of the 2 x 2 elliptope on a grid."""
-    out = []
-    for r in radii:
-        alpha = float(np.arccos(np.clip(r, -1.0, 1.0)))
-        for psi in phases:
-            d = np.exp(1j * (np.array([alpha, -alpha]) - psi))  # mean of conj(d) = r e^{i psi}
-            out.append(_diagonals(np.stack([np.ones(2), d])))
-    return out
+    whole parameter disk of the 2 x 2 elliptope on a grid.  Returns one
+    (len(radii) * len(phases), 2, 2, 2) array, radius-major."""
+    alpha = np.arccos(np.clip(np.asarray(radii, dtype=float), -1.0, 1.0))
+    psi = np.asarray(phases, dtype=float)
+    # mean of conj(d) = r e^{i psi}
+    d = np.exp(1j * (np.stack([alpha, -alpha], axis=-1)[:, None, :] - psi[None, :, None]))
+    return _diagonals(np.stack([np.ones_like(d), d], axis=-2).reshape(-1, 2, 2))
+
+
+def _random_tuples(n: int, k_list, n_structured: int, n_haar: int, rng: np.random.Generator):
+    """wuc_inner's random tuples in draw order: structured kinds in turn
+    across k_list, then Haar tuples across k_list."""
+    for j in range(n_structured):
+        k = k_list[j % len(k_list)]
+        kind = j % 3
+        if kind == 0:
+            yield phase_tuple(n, k, rng)
+        elif kind == 1:
+            yield scalar_tuple(n, k, rng)
+        else:
+            yield permutation_tuple(n, max(k, 2), rng)
+    for j in range(n_haar):
+        yield haar_tuple(n, k_list[j % len(k_list)], rng)
 
 
 def wuc_inner(
@@ -124,28 +149,35 @@ def wuc_inner(
     n = t.shape[0]
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    tuples: list[np.ndarray] = []
+    grid: np.ndarray | list = []
     if n == 2:
         g = int(np.ceil(np.sqrt(max(samples // 4, 8) / 4)))
         radii = np.linspace(0.0, 1.0, g + 1)[1:]
         phases = np.linspace(0.0, 2.0 * np.pi, 4 * g, endpoint=False)
-        tuples.extend(disk_tuples_2x2(radii, phases))
-    n_grid = len(tuples)
+        grid = disk_tuples_2x2(radii, phases)
+    n_grid = len(grid)
     n_structured = max(samples // 5, 3)
-    for j in range(n_structured):
-        k = k_list[j % len(k_list)]
-        kind = j % 3
-        if kind == 0:
-            tuples.append(phase_tuple(n, k, rng))
-        elif kind == 1:
-            tuples.append(scalar_tuple(n, k, rng))
-        else:
-            tuples.append(permutation_tuple(n, max(k, 2), rng))
-    n_haar = max(samples - len(tuples), 0)
-    for j in range(n_haar):
-        tuples.append(haar_tuple(n, k_list[j % len(k_list)], rng))
+    n_haar = max(samples - n_grid - n_structured, 0)
 
-    points = np.array([np.sum(t * induced_correlation(u).matrix.T) / n for u in tuples])
+    # Validate same-k tuples together as they are drawn, in batches of at
+    # most BATCH_ENTRIES unitary entries, so that only one open batch per k
+    # is held; each point goes to its tuple's place in the draw order.
+    points = np.empty(n_grid + n_structured + n_haar, dtype=np.complex128)
+    open_batches: dict[int, list] = {}
+
+    def validate(k: int) -> None:
+        order, batch = zip(*open_batches.pop(k))
+        b = induced_correlation(np.stack(batch)).matrix
+        points[list(order)] = np.sum(t * b.swapaxes(-1, -2), axis=(-2, -1)) / n
+
+    draws = itertools.chain(grid, _random_tuples(n, k_list, n_structured, n_haar, rng))
+    for i, u in enumerate(draws):
+        k = u.shape[-1]
+        open_batches.setdefault(k, []).append((i, u))
+        if len(open_batches[k]) >= max(1, BATCH_ENTRIES // (n * k * k)):
+            validate(k)
+    for k in list(open_batches):
+        validate(k)
     hull = geometry.convex_hull(np.column_stack([points.real, points.imag]))
     meta = {
         "k_values": list(k_list),

@@ -271,6 +271,18 @@ def test_wuc_rejects_tol_before_sampling(e12_file, monkeypatch, capsys):
     assert captured.err.startswith("error: tol must be positive and finite") and captured.err.count("\n") == 1
 
 
+def test_wuc_rejects_directions_before_sampling(e12_file, monkeypatch, capsys):
+    # range_boundary's own check runs before any sample is drawn
+    def sample(*args):
+        raise AssertionError("unitary samples drawn before --directions was checked")
+
+    monkeypatch.setattr(ucrange, "wuc_inner", sample)
+    assert main(["wuc", "--input", e12_file, "--directions", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need at least 3 directions") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnr import elliptope, matcore
-from cnr.errors import DiagonalNotOneError, NotPsdError, OutOfDiskError
+from cnr.errors import DiagonalNotOneError, NotHermitianError, NotPsdError, OutOfDiskError
 
 
 def test_gram_orthonormal_gives_identity():
@@ -38,6 +38,25 @@ def test_validate_identity_and_indefinite():
         elliptope.validate_correlation([[1, 2], [2, 1]])
     with pytest.raises(DiagonalNotOneError):
         elliptope.validate_correlation([[2, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "error, message, bad",
+    [
+        (NotHermitianError, "must be Hermitian", [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]),
+        (DiagonalNotOneError, "deviates from one by 2.000e-01", [[1, 0, 0], [0, 1.2, 0], [0, 0, 1]]),
+        (NotPsdError, "smallest eigenvalue -1.000e\\+00", [[1, 1, 1], [1, 1, -1], [1, -1, 1]]),
+    ],
+    ids=["non-hermitian", "diagonal", "not-psd"],
+)
+def test_validate_stack_names_first_bad_matrix(error, message, bad):
+    rng = np.random.default_rng(5)
+    stack = np.stack([elliptope.random_correlation(3, rng).matrix for _ in range(4)])
+    stack[2] = stack[3] = bad
+    with pytest.raises(error, match=f"^stack index 2: .*{message}"):  # the first bad one
+        elliptope.validate_correlation(stack)
+    with pytest.raises(error, match=f"^(?!stack ).*{message}"):  # alone, no index
+        elliptope.validate_correlation(bad)
 
 
 def test_validate_disk_criterion():

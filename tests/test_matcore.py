@@ -134,6 +134,35 @@ def test_haar_unitary():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_haar_unitary_stack_is_successive_draws(k):
+    # one stacked draw reads the random stream that n single draws read
+    n = 4
+    one_by_one = np.random.default_rng(k)
+    expected = np.stack([matcore.haar_unitary(k, one_by_one) for _ in range(n)])
+    stacked = np.random.default_rng(k)
+    u = matcore.haar_unitary(k, stacked, (n,))
+    assert u.shape == (n, k, k)
+    assert np.array_equal(u, expected)
+    assert stacked.standard_normal() == one_by_one.standard_normal()
+
+
+def test_hermitian_eigs_stack_matches_each_matrix():
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 6):
+        m = np.stack([matcore.ginibre_random(n, rng) for _ in range(5)])
+        m = m + m.conj().swapaxes(-1, -2)
+        dec = matcore.hermitian_eigs(m)
+        assert dec.eigenvalues.shape == (5, n) and dec.eigenvectors.shape == (5, n, n)
+        for i in range(5):
+            one = matcore.hermitian_eigs(m[i])
+            assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
+    m[3, 0, 1] += 1e-3
+    with pytest.raises(NotHermitianError, match="^stack index 3: "):
+        matcore.hermitian_eigs(m)
+
+
 def test_ginibre():
     a = matcore.ginibre_random(3, np.random.default_rng(1))
     b = matcore.ginibre_random(3, np.random.default_rng(1))

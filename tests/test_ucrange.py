@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,25 @@ def test_induced_rejects_non_unitary():
         ucrange.induced_correlation(np.eye(2, dtype=complex))
     with pytest.raises(NotUnitaryError):  # entries must be square
         ucrange.induced_correlation(np.stack([np.eye(2, 3)] * 2))
+
+
+def test_induced_stack_matches_each_tuple():
+    rng = np.random.default_rng(14)
+    for n, k in [(1, 1), (2, 3), (5, 4)]:
+        stack = np.stack([ucrange.haar_tuple(n, k, rng) for _ in range(6)])
+        b = ucrange.induced_correlation(stack)
+        assert b.n == n and b.matrix.shape == (6, n, n)
+        for i in range(6):
+            assert np.array_equal(b.matrix[i], ucrange.induced_correlation(stack[i]).matrix)
+
+
+def test_induced_stack_names_first_non_unitary_tuple():
+    rng = np.random.default_rng(13)
+    stack = np.stack([ucrange.haar_tuple(3, 2, rng) for _ in range(4)])
+    stack[1, 2] *= 2.0
+    stack[3, 0] *= 2.0
+    with pytest.raises(NotUnitaryError, match="^stack index 1: tuple entries must be unitary"):
+        ucrange.induced_correlation(stack)
 
 
 def _trace_loop(u):
@@ -85,12 +106,59 @@ def test_disk_tuples_hit_requested_values():
     radii = [0.25, 0.75, 1.0]
     phases = [0.0, 1.1, 3.9]
     tuples = ucrange.disk_tuples_2x2(radii, phases)
+    assert tuples.shape == (9, 2, 2, 2)
     idx = 0
     for r in radii:
         for psi in phases:
             b = ucrange.induced_correlation(tuples[idx]).matrix
             assert b[0, 1] == pytest.approx(r * np.exp(1j * psi), abs=1e-12)
             idx += 1
+
+
+def _wuc_tuples(n, k_list, samples, rng):
+    """The tuples wuc_inner draws, in its order, one generator call each."""
+    tuples = []
+    if n == 2:
+        g = int(np.ceil(np.sqrt(max(samples // 4, 8) / 4)))
+        radii = np.linspace(0.0, 1.0, g + 1)[1:]
+        tuples.extend(ucrange.disk_tuples_2x2(radii, np.linspace(0.0, 2.0 * np.pi, 4 * g, endpoint=False)))
+    for j in range(max(samples // 5, 3)):
+        k = k_list[j % len(k_list)]
+        if j % 3 == 0:
+            tuples.append(ucrange.phase_tuple(n, k, rng))
+        elif j % 3 == 1:
+            tuples.append(ucrange.scalar_tuple(n, k, rng))
+        else:
+            tuples.append(ucrange.permutation_tuple(n, max(k, 2), rng))
+    for j in range(max(samples - len(tuples), 0)):
+        tuples.append(ucrange.haar_tuple(n, k_list[j % len(k_list)], rng))
+    return tuples
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_wuc_inner_matches_per_tuple_reference(n, monkeypatch):
+    # batched validation returns each tuple's own point, in draw order
+    t = matcore.ginibre_random(n, np.random.default_rng(20 + n))
+    k_list = list(ucrange.DEFAULT_K_LIST)
+    stacks, original = [], ucrange.induced_correlation
+
+    def induced(u):
+        stacks.append(u.shape)
+        return original(u)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ucrange, "induced_correlation", induced)
+        approx = ucrange.wuc_inner(t, k_list, 300, np.random.default_rng(21))
+    tuples = _wuc_tuples(n, k_list, 300, np.random.default_rng(21))
+    # one call per batch of same-k tuples, each batch as large as the entry bound allows
+    per_call = {k: max(1, ucrange.BATCH_ENTRIES // (n * k * k)) for k in {u.shape[-1] for u in tuples}}
+    count = collections.Counter(u.shape[-1] for u in tuples)
+    assert len(stacks) == sum(-(-count[k] // per_call[k]) for k in count)
+    assert all(c <= per_call[k] for c, _, k, _ in stacks)
+    one_by_one = [np.sum(t * ucrange.induced_correlation(u).matrix.T) / n for u in tuples]
+    assert np.array_equal(approx.points, one_by_one)
+    loop = np.array([np.sum(t * _trace_loop(u).T) / n for u in tuples])
+    assert np.max(np.abs(approx.points - loop)) <= 1e-12
 
 
 def test_wuc_inner_diagonal_matrix_collapses():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import DiagonalNotOneError, NotHermitianError, NotPsdError, OutOfDiskError, require
+from .errors import DiagonalNotOneError, NotPsdError, OutOfDiskError, require
 
 PSD_TOL = 1e-10
 DIAG_TOL = 1e-10
@@ -72,10 +72,11 @@ def validate_correlation(b) -> CorrelationMatrix:
     boundary points: extreme points of the elliptope are rank-deficient.
     """
     m = matcore.as_matrix(b, stack=True)
-    require(matcore.is_hermitian(m), NotHermitianError, "correlation matrix must be Hermitian")
+    # hermitian_eigs makes the one Hermitian check; the PSD verdict still
+    # comes after the diagonal's
+    lam_min = matcore.hermitian_eigs(m).eigenvalues[..., 0]
     diag_err = np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1) - 1.0), axis=-1)
     require(diag_err <= DIAG_TOL, DiagonalNotOneError, "diagonal deviates from one by {:.3e}", diag_err)
-    lam_min = matcore.hermitian_eigs(m).eigenvalues[..., 0]
     require(lam_min >= -PSD_TOL, NotPsdError, "smallest eigenvalue {:.3e} below tolerance", lam_min)
     return CorrelationMatrix((m + m.conj().swapaxes(-1, -2)) / 2.0)
 

@@ -28,10 +28,12 @@ from .errors import NotUnitaryError, require
 UNITARY_TOL = 1e-10
 DEFAULT_K_LIST = (1, 2, 4, 8, 16)
 DEFAULT_SAMPLES = 2000
-# wuc_inner validates at most this many unitary entries (64 KiB of
-# complex128) per induced_correlation call: larger stacks save no more time
-# and raise peak memory
-BATCH_ENTRIES = 4096
+# wuc_inner draws and validates at most this many unitary entries (256 KiB
+# of complex128) per Haar chunk and per same-k batch of grid and structured
+# tuples.  On the induced benchmark (2 cores, 25 s runs, seeds 1-3) 4,096
+# gave 49 ops/s at 41.0 MB peak RSS (an n = 8 chunk is then one cycle),
+# 16,384 gave 77-84 ops/s at 42.2 MB and 32,768 gave 85-90 ops/s at 44.0 MB.
+BATCH_ENTRIES = 16384
 
 
 @dataclass
@@ -109,9 +111,9 @@ def disk_tuples_2x2(radii, phases) -> np.ndarray:
     return _diagonals(np.stack([np.ones_like(d), d], axis=-2).reshape(-1, 2, 2))
 
 
-def _random_tuples(n: int, k_list, n_structured: int, n_haar: int, rng: np.random.Generator):
-    """wuc_inner's random tuples in draw order: structured kinds in turn
-    across k_list, then Haar tuples across k_list."""
+def _structured_tuples(n: int, k_list, n_structured: int, rng: np.random.Generator):
+    """wuc_inner's structured tuples in draw order: phase, scalar and
+    permutation tuples in turn across k_list."""
     for j in range(n_structured):
         k = k_list[j % len(k_list)]
         kind = j % 3
@@ -121,8 +123,6 @@ def _random_tuples(n: int, k_list, n_structured: int, n_haar: int, rng: np.rando
             yield scalar_tuple(n, k, rng)
         else:
             yield permutation_tuple(n, max(k, 2), rng)
-    for j in range(n_haar):
-        yield haar_tuple(n, k_list[j % len(k_list)], rng)
 
 
 def wuc_inner(
@@ -159,25 +159,44 @@ def wuc_inner(
     n_structured = max(samples // 5, 3)
     n_haar = max(samples - n_grid - n_structured, 0)
 
-    # Validate same-k tuples together as they are drawn, in batches of at
-    # most BATCH_ENTRIES unitary entries, so that only one open batch per k
-    # is held; each point goes to its tuple's place in the draw order.
     points = np.empty(n_grid + n_structured + n_haar, dtype=np.complex128)
+
+    def trace_values(u: np.ndarray) -> np.ndarray:
+        b = induced_correlation(u).matrix
+        return np.sum(t * b.swapaxes(-1, -2), axis=(-2, -1)) / n
+
+    # Validate same-k grid and structured tuples together as they are drawn,
+    # in batches of at most BATCH_ENTRIES unitary entries, so that only one
+    # open batch per k is held; each point goes to its tuple's place in the
+    # draw order.
     open_batches: dict[int, list] = {}
 
     def validate(k: int) -> None:
         order, batch = zip(*open_batches.pop(k))
-        b = induced_correlation(np.stack(batch)).matrix
-        points[list(order)] = np.sum(t * b.swapaxes(-1, -2), axis=(-2, -1)) / n
+        points[list(order)] = trace_values(np.stack(batch))
 
-    draws = itertools.chain(grid, _random_tuples(n, k_list, n_structured, n_haar, rng))
-    for i, u in enumerate(draws):
+    for i, u in enumerate(itertools.chain(grid, _structured_tuples(n, k_list, n_structured, rng))):
         k = u.shape[-1]
         open_batches.setdefault(k, []).append((i, u))
         if len(open_batches[k]) >= max(1, BATCH_ENTRIES // (n * k * k)):
             validate(k)
     for k in list(open_batches):
         validate(k)
+
+    # Haar tuple j has inner dimension k_list[j % cycle]: draw them a chunk
+    # of whole cycles of k_list at a time (at most BATCH_ENTRIES unitary
+    # entries, at least one cycle), then a final partial cycle; entry a of
+    # cycle c is draw index base + c * cycle + a.
+    base, cycle = n_grid + n_structured, len(k_list)
+    per_chunk = max(1, BATCH_ENTRIES // (n * sum(k * k for k in k_list)))
+    full, rest = divmod(n_haar, cycle)
+    chunks = [(c0, min(per_chunk, full - c0), k_list) for c0 in range(0, full, per_chunk)]
+    if rest:
+        chunks.append((full, 1, k_list[:rest]))
+    for c0, count, sizes in chunks:
+        for a, u in enumerate(matcore.haar_unitary(sizes, rng, (count, n))):
+            start = base + c0 * cycle + a
+            points[start : start + count * cycle : cycle] = trace_values(u)
     hull = geometry.convex_hull(np.column_stack([points.real, points.imag]))
     meta = {
         "k_values": list(k_list),

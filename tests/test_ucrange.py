@@ -135,30 +135,68 @@ def _wuc_tuples(n, k_list, samples, rng):
     return tuples
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_wuc_inner_matches_per_tuple_reference(n, monkeypatch):
-    # batched validation returns each tuple's own point, in draw order
+    # batched validation and chunked Haar draws return each tuple's own
+    # point, in draw order; n = 8 spans many Haar chunks
     t = matcore.ginibre_random(n, np.random.default_rng(20 + n))
-    k_list = list(ucrange.DEFAULT_K_LIST)
-    stacks, original = [], ucrange.induced_correlation
+    samples = 2000 if n == 8 else 300
+    for k_list in (list(ucrange.DEFAULT_K_LIST), [16, 1], [2, 2, 3]):
+        stacks, original = [], ucrange.induced_correlation
 
-    def induced(u):
-        stacks.append(u.shape)
-        return original(u)
+        def induced(u):
+            stacks.append(u.shape)
+            return original(u)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(ucrange, "induced_correlation", induced)
-        approx = ucrange.wuc_inner(t, k_list, 300, np.random.default_rng(21))
-    tuples = _wuc_tuples(n, k_list, 300, np.random.default_rng(21))
-    # one call per batch of same-k tuples, each batch as large as the entry bound allows
-    per_call = {k: max(1, ucrange.BATCH_ENTRIES // (n * k * k)) for k in {u.shape[-1] for u in tuples}}
-    count = collections.Counter(u.shape[-1] for u in tuples)
-    assert len(stacks) == sum(-(-count[k] // per_call[k]) for k in count)
-    assert all(c <= per_call[k] for c, _, k, _ in stacks)
-    one_by_one = [np.sum(t * ucrange.induced_correlation(u).matrix.T) / n for u in tuples]
-    assert np.array_equal(approx.points, one_by_one)
-    loop = np.array([np.sum(t * _trace_loop(u).T) / n for u in tuples])
-    assert np.max(np.abs(approx.points - loop)) <= 1e-12
+        with monkeypatch.context() as patch:
+            patch.setattr(ucrange, "induced_correlation", induced)
+            approx = ucrange.wuc_inner(t, k_list, samples, np.random.default_rng(21))
+        tuples = _wuc_tuples(n, k_list, samples, np.random.default_rng(21))
+        n_haar = approx.sample_meta["haar"]
+        # grid and structured tuples: one call per batch of same-k tuples,
+        # each batch as large as the entry bound allows
+        drawn = tuples[: len(tuples) - n_haar]
+        per_call = {k: max(1, ucrange.BATCH_ENTRIES // (n * k * k)) for k in {u.shape[-1] for u in drawn}}
+        count = collections.Counter(u.shape[-1] for u in drawn)
+        batches = sum(-(-count[k] // per_call[k]) for k in count)
+        assert all(c <= per_call[k] for c, _, k, _ in stacks[:batches])
+        # Haar tuples: one call per k_list entry per chunk of whole cycles,
+        # then one per entry of the final partial cycle
+        per_chunk = max(1, ucrange.BATCH_ENTRIES // (n * sum(k * k for k in k_list)))
+        full, rest = divmod(n_haar, len(k_list))
+        assert len(stacks) == batches + -(-full // per_chunk) * len(k_list) + rest
+        assert all(c <= per_chunk for c, _, _, _ in stacks[batches:])
+        one_by_one = [np.sum(t * ucrange.induced_correlation(u).matrix.T) / n for u in tuples]
+        assert np.array_equal(approx.points, one_by_one)
+        loop = np.array([np.sum(t * _trace_loop(u).T) / n for u in tuples])
+        assert np.max(np.abs(approx.points - loop)) <= 1e-12
+
+
+class _RecordingRng:
+    """A Generator that records the size of every standard_normal draw."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def standard_normal(self, size):
+        self.sizes.append(int(np.prod(size)))
+        return self.rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("n, k_list, samples", [(8, ucrange.DEFAULT_K_LIST, 2000), (3, (2, 2, 3), 500), (5, (64, 1), 12)])
+def test_wuc_inner_draw_size_bounded(n, k_list, samples):
+    # a Haar chunk draws at most BATCH_ENTRIES unitary entries, or one cycle
+    # of k_list when that alone is larger (n = 5 with k = 64)
+    t = matcore.ginibre_random(n, np.random.default_rng(30 + n))
+    rng = _RecordingRng(31)
+    approx = ucrange.wuc_inner(t, k_list, samples, rng)
+    assert max(rng.sizes) <= 2 * max(ucrange.BATCH_ENTRIES, n * sum(k * k for k in k_list))
+    assert len(rng.sizes) > 1
+    plain = ucrange.wuc_inner(t, k_list, samples, np.random.default_rng(31))
+    assert np.array_equal(approx.points, plain.points)
 
 
 def test_wuc_inner_diagonal_matrix_collapses():
@@ -213,6 +251,7 @@ def test_wuc_rejects_k_below_one(k_list, monkeypatch):
 
     for name in ("haar_tuple", "phase_tuple", "scalar_tuple", "permutation_tuple"):
         monkeypatch.setattr(ucrange, name, draw)
+    monkeypatch.setattr(matcore, "haar_unitary", draw)
     t = matcore.ginibre_random(3, np.random.default_rng(11))
     with pytest.raises(ValueError, match="k_list"):
         ucrange.wuc_inner(t, k_list=k_list, samples=20)

@@ -74,7 +74,11 @@ _SETTINGS = {
     "--seed": dict(
         type=_checked(int, lambda s: s >= 0, "nonnegative"), help="seed (default: CNR_SEED, else 0)"
     ),
-    "--samples": dict(type=int, default=ucrange.DEFAULT_SAMPLES, help="sampled unitary tuples"),
+    "--samples": dict(
+        type=int,
+        default=ucrange.DEFAULT_SAMPLES,
+        help="sampled unitary tuples; small values give more (at least 3, and 19 at n = 2)",
+    ),
     "--k-list": dict(
         type=_int_list, default=list(ucrange.DEFAULT_K_LIST), help="inner dimensions, comma separated"
     ),

@@ -21,21 +21,26 @@ def convex_hull(points) -> np.ndarray:
     pts = pts[keep]
     if len(pts) <= 2:
         return pts
+    # The chains run over Python floats: the same IEEE arithmetic as on
+    # numpy scalars, without a numpy call per step.
+    pts = pts.tolist()
+    return np.array(_chain(pts)[:-1] + _chain(pts[::-1])[:-1])
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
+def _chain(pts: list) -> list:
+    """One monotone chain over sorted points: pop while the turn to the next
+    point is not counter-clockwise (cross product <= 0)."""
+    chain = []
     for p in pts:
-        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in pts[::-1]:
-        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+        px, py = p
+        while len(chain) > 1:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
 
 
 def halfplane_polygon(thetas, supports) -> np.ndarray:

@@ -2,7 +2,9 @@
 induced range.
 
 A tuple of n unitary k x k matrices is one complex (n, k, k) array, and a
-stack of same-k tuples one (count, n, k, k) array, validated in one call.
+stack of same-k tuples one (count, n, k, k) array.  Induced matrices are
+n x n whatever k is, so a list of stacks with different k is validated in
+one call, one eigensolve for all of them.
 A tuple induces the correlation matrix of the normalized trace inner
 products of its unitaries ((1/k) Tr(U_j* U_i)); each unitary is a unit
 vector in that inner product, so the result always lies in the elliptope.
@@ -28,11 +30,13 @@ from .errors import NotUnitaryError, require
 UNITARY_TOL = 1e-10
 DEFAULT_K_LIST = (1, 2, 4, 8, 16)
 DEFAULT_SAMPLES = 2000
-# wuc_inner draws and validates at most this many unitary entries (256 KiB
-# of complex128) per Haar chunk and per same-k batch of grid and structured
-# tuples.  On the induced benchmark (2 cores, 25 s runs, seeds 1-3) 4,096
-# gave 49 ops/s at 41.0 MB peak RSS (an n = 8 chunk is then one cycle),
-# 16,384 gave 77-84 ops/s at 42.2 MB and 32,768 gave 85-90 ops/s at 44.0 MB.
+# wuc_inner draws at most this many unitary entries (256 KiB of complex128)
+# per Haar chunk, and holds at most this many per same-k batch of grid and
+# structured tuples; a Haar chunk, a full batch, and the batches left open at
+# the end are each validated in one call.  On the induced benchmark (2
+# cores, 25 s runs, seeds 1-3, each Haar k validated on its own) 4,096 gave
+# 49 ops/s at 41.0 MB peak RSS (an n = 8 chunk is then one cycle), 16,384
+# gave 77-84 ops/s at 42.2 MB and 32,768 gave 85-90 ops/s at 44.0 MB.
 BATCH_ENTRIES = 16384
 
 
@@ -56,18 +60,31 @@ def induced_correlation(u) -> CorrelationMatrix:
     """Correlation matrix (1/k) Tr(U_j* U_i) of an (n, k, k) unitary tuple;
     entry (i, j) is the trace inner product of U_i against U_j, normalized
     by the inner dimension so the diagonal is one.  A (count, n, k, k) stack
-    of tuples gives the stack of their matrices, each checked on its own; an
-    error names the first tuple that fails."""
-    u = np.asarray(u)
-    if u.ndim not in (3, 4) or u.shape[-1] != u.shape[-2] or 0 in u.shape[-3:]:
-        raise NotUnitaryError(
-            f"expected an (n, k, k) unitary tuple or a stack of them, got shape {u.shape}"
-        )
-    n, k = u.shape[-3], u.shape[-1]
-    defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(k)), axis=(-3, -2, -1))
+    of tuples gives the stack of their matrices, and a list of such stacks
+    that share n, with k free to differ, gives one (sum of counts, n, n)
+    stack in list order, validated in one call.  Each tuple is checked on
+    its own; an error names the first that fails by its place in that
+    order."""
+    joint = isinstance(u, list)
+    if joint and not u:
+        raise NotUnitaryError("expected at least one stack of unitary tuples")
+    defects, grams = [], []
+    for s in map(np.asarray, u if joint else [u]):
+        if s.ndim not in ((4,) if joint else (3, 4)) or s.shape[-1] != s.shape[-2] or 0 in s.shape[-3:]:
+            what = "a (count, n, k, k) stack" if joint else "an (n, k, k) unitary tuple or a stack of them"
+            raise NotUnitaryError(f"expected {what}, got shape {s.shape}")
+        n, k = s.shape[-3], s.shape[-1]
+        if grams and n != grams[0].shape[-1]:
+            raise NotUnitaryError(f"stacks must share n, got {n} after {grams[0].shape[-1]}")
+        defects.append(np.max(np.abs(s.conj().swapaxes(-1, -2) @ s - np.eye(k)), axis=(-3, -2, -1)))
+        v = s.reshape(s.shape[:-3] + (n, k * k))
+        grams.append((v @ v.conj().swapaxes(-1, -2)) / k)
+    if joint:
+        defect, gram = np.concatenate(defects), np.concatenate(grams)
+    else:
+        defect, gram = defects[0], grams[0]
     require(defect <= UNITARY_TOL, NotUnitaryError, "tuple entries must be unitary")
-    v = u.reshape(u.shape[:-3] + (n, k * k))
-    return validate_correlation((v @ v.conj().swapaxes(-1, -2)) / k)
+    return validate_correlation(gram)
 
 
 def _diagonals(d: np.ndarray) -> np.ndarray:
@@ -137,10 +154,20 @@ def wuc_inner(
     generators: diagonal-phase tuples, permutation tuples, scalar-phase
     tuples, and (n = 2 only) a deterministic disk grid of diagonal tuples
     that realizes every elliptope off-diagonal value as a phase average.
+
+    samples is the number of points aimed at; there can be more.  At least
+    3 structured tuples are always drawn, and at n = 2 the disk grid has at
+    least 16 tuples, so samples=1 gives 3 points away from n = 2, and
+    samples=10 at n = 2 gives 19.  k_list entries must be integers (2.0
+    names k = 2; 2.7 is rejected) and at least 1.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    k_list = [int(k) for k in k_list]
+    given = list(k_list)
+    fractional = [k for k in given if not float(k).is_integer()]
+    if fractional:
+        raise ValueError(f"k_list entries must be integers, got {fractional}")
+    k_list = [int(k) for k in given]
     if not k_list:
         raise ValueError("k_list must name at least one inner dimension")
     if min(k_list) < 1:
@@ -161,32 +188,38 @@ def wuc_inner(
 
     points = np.empty(n_grid + n_structured + n_haar, dtype=np.complex128)
 
-    def trace_values(u: np.ndarray) -> np.ndarray:
+    def trace_values(u) -> np.ndarray:
         b = induced_correlation(u).matrix
         return np.sum(t * b.swapaxes(-1, -2), axis=(-2, -1)) / n
 
-    # Validate same-k grid and structured tuples together as they are drawn,
-    # in batches of at most BATCH_ENTRIES unitary entries, so that only one
-    # open batch per k is held; each point goes to its tuple's place in the
-    # draw order.
+    # Collect same-k grid and structured tuples as they are drawn, in
+    # batches of at most BATCH_ENTRIES unitary entries, so that only one
+    # open batch per k is held; a full batch is validated alone, and the
+    # batches still open at the end in one call.  Each point goes to its
+    # tuple's place in the draw order.
     open_batches: dict[int, list] = {}
 
-    def validate(k: int) -> None:
-        order, batch = zip(*open_batches.pop(k))
-        points[list(order)] = trace_values(np.stack(batch))
+    def validate(ks) -> None:
+        order, stacks = [], []
+        for k in ks:
+            indices, batch = zip(*open_batches.pop(k))
+            order.extend(indices)
+            stacks.append(np.stack(batch))
+        points[order] = trace_values(stacks)
 
     for i, u in enumerate(itertools.chain(grid, _structured_tuples(n, k_list, n_structured, rng))):
         k = u.shape[-1]
         open_batches.setdefault(k, []).append((i, u))
         if len(open_batches[k]) >= max(1, BATCH_ENTRIES // (n * k * k)):
-            validate(k)
-    for k in list(open_batches):
-        validate(k)
+            validate([k])
+    if open_batches:
+        validate(list(open_batches))
 
     # Haar tuple j has inner dimension k_list[j % cycle]: draw them a chunk
     # of whole cycles of k_list at a time (at most BATCH_ENTRIES unitary
-    # entries, at least one cycle), then a final partial cycle; entry a of
-    # cycle c is draw index base + c * cycle + a.
+    # entries, at least one cycle), then a final partial cycle, and validate
+    # each chunk in one call.  Entry a of cycle c is draw index
+    # base + c * cycle + a, and row a * count + c of the chunk's values.
     base, cycle = n_grid + n_structured, len(k_list)
     per_chunk = max(1, BATCH_ENTRIES // (n * sum(k * k for k in k_list)))
     full, rest = divmod(n_haar, cycle)
@@ -194,9 +227,9 @@ def wuc_inner(
     if rest:
         chunks.append((full, 1, k_list[:rest]))
     for c0, count, sizes in chunks:
-        for a, u in enumerate(matcore.haar_unitary(sizes, rng, (count, n))):
-            start = base + c0 * cycle + a
-            points[start : start + count * cycle : cycle] = trace_values(u)
+        values = trace_values(matcore.haar_unitary(sizes, rng, (count, n)))
+        start = base + c0 * cycle
+        points[start : start + values.size] = values.reshape(len(sizes), count).T.ravel()
     hull = geometry.convex_hull(np.column_stack([points.real, points.imag]))
     meta = {
         "k_values": list(k_list),

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own solve paths: brute-force grids
 over the 2 x 2 elliptope parameterization, the closed-form 2 x 2 support,
-and numpy.linalg as the linear-algebra reference.
+numpy.linalg as the linear-algebra reference, and a monotone-chain hull
+computed step by step on numpy scalars.
 """
 
 import numpy as np
@@ -69,3 +70,31 @@ def seminorm_2x2_zoom(t, levels=4, width=2.0, grid=41):
 def random_hermitian(n, rng):
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     return (z + z.conj().T) / 2.0
+
+
+def convex_hull_chain(points):
+    """Monotone-chain hull on numpy scalars, one cross-product call per
+    step: CCW vertices, popping while the turn is not counter-clockwise."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    pts = pts[order]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(np.abs(np.diff(pts, axis=0)) > 0.0, axis=1)
+    pts = pts[keep]
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in pts[::-1]:
+        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cnr import geometry
+from oracles import convex_hull_chain
+
+from cnr import geometry, matcore, ucrange
 
 
 def _point_polygon_distance_ref(p, poly):
@@ -35,6 +37,34 @@ def test_hull_degenerate():
     hull = geometry.convex_hull([[0, 0], [1, 1], [2, 2], [0.5, 0.5]])
     assert len(hull) == 2
     assert {tuple(p) for p in hull} == {(0, 0), (2, 2)}
+
+
+def _hull_clouds():
+    rng = np.random.default_rng(40)
+    yield from (rng.standard_normal((m, 2)) for m in (0, 1, 2))
+    yield [[1.0, 2.0], [1.0, 2.0]]  # two equal points
+    for m in (3, 5, 20, 300):
+        yield rng.standard_normal((m, 2))
+        yield np.repeat(rng.standard_normal((m, 2)), 3, axis=0)  # duplicates
+        x = rng.standard_normal(m)
+        yield np.column_stack([x, 0.5 * x - 2.0])  # collinear
+        yield rng.integers(-3, 4, (m, 2)).astype(float)  # integer lattice
+        yield np.column_stack([np.zeros(m), rng.standard_normal(m)])  # vertical line
+    # signed zeros: -0.0 and 0.0 are equal points that keep their signs
+    yield [[-0.0, 0.0], [0.0, -0.0], [1.0, -0.0], [-0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [-0.0, 0.5]]
+    yield rng.integers(-1, 2, (60, 2)) * np.array([-0.0, 0.0, 1.0])[rng.integers(0, 3, (60, 2))]
+    for n, k_list, samples in [(1, [1], 10), (2, [16], 200), (3, [2, 4], 60), (5, [1, 2, 4, 8, 16], 500)]:
+        t = matcore.ginibre_random(n, rng)
+        points = ucrange.wuc_inner(t, k_list, samples, rng).points
+        yield np.column_stack([points.real, points.imag])
+
+
+def test_hull_matches_per_step_chain():
+    for pts in _hull_clouds():
+        hull, ref = geometry.convex_hull(pts), convex_hull_chain(pts)
+        assert hull.dtype == ref.dtype and hull.shape == ref.shape
+        assert np.array_equal(hull, ref)
+        assert np.array_equal(np.signbit(hull), np.signbit(ref))
 
 
 def test_halfplane_polygon_disk():

@@ -5,7 +5,7 @@ import pytest
 
 from cnr import matcore, ucrange
 from cnr.elliptope import validate_correlation
-from cnr.errors import NotUnitaryError
+from cnr.errors import DiagonalNotOneError, NotPsdError, NotUnitaryError
 
 
 def test_induced_scalar_phases_rank_one():
@@ -55,6 +55,66 @@ def test_induced_stack_names_first_non_unitary_tuple():
     stack[3, 0] *= 2.0
     with pytest.raises(NotUnitaryError, match="^stack index 1: tuple entries must be unitary"):
         ucrange.induced_correlation(stack)
+
+
+def test_induced_list_of_stacks_matches_each_stack():
+    rng = np.random.default_rng(15)
+    for n in (1, 3):
+        stacks = [matcore.haar_unitary(k, rng, (count, n)) for k, count in [(4, 3), (1, 5), (2, 1), (4, 2)]]
+        b = ucrange.induced_correlation(stacks)
+        assert b.matrix.shape == (11, n, n)
+        each = np.concatenate([ucrange.induced_correlation(s).matrix for s in stacks])
+        assert np.array_equal(b.matrix, each)
+        assert np.array_equal(ucrange.induced_correlation(stacks[:1]).matrix, each[:3])
+
+
+def test_induced_list_names_tuple_by_concatenated_index():
+    rng = np.random.default_rng(16)
+    stacks = [matcore.haar_unitary(k, rng, (count, 3)) for k, count in [(2, 4), (1, 3), (3, 2)]]
+    stacks[1][2, 0] *= 2.0
+    stacks[2][0, 1] *= 2.0
+    with pytest.raises(NotUnitaryError, match="^stack index 6: tuple entries must be unitary"):
+        ucrange.induced_correlation(stacks)
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (DiagonalNotOneError, "^stack index 5: diagonal deviates"),
+        (NotPsdError, "^stack index 5: smallest eigenvalue"),
+    ],
+)
+def test_induced_list_names_elliptope_failure_by_concatenated_index(error, message, monkeypatch):
+    # unitary tuples always induce correlation matrices, so the Gram
+    # product of the third stack's second tuple is spoiled on its way to
+    # validate_correlation
+    rng = np.random.default_rng(17)
+    stacks = [matcore.haar_unitary(k, rng, (count, 2)) for k, count in [(2, 2), (1, 2), (3, 3)]]
+    seen = []
+    original = ucrange.validate_correlation
+
+    def spoil(b):
+        b = np.array(b)
+        b[5] = np.diag([1.5, 1.0]) if error is DiagonalNotOneError else [[1.0, 2.0], [2.0, 1.0]]
+        seen.append(b.shape)
+        return original(b)
+
+    monkeypatch.setattr(ucrange, "validate_correlation", spoil)
+    with pytest.raises(error, match=message):
+        ucrange.induced_correlation(stacks)
+    assert seen == [(7, 2, 2)]
+
+
+def test_induced_list_rejects_mixed_n_and_bad_stacks():
+    rng = np.random.default_rng(18)
+    with pytest.raises(NotUnitaryError, match="share n"):
+        ucrange.induced_correlation([matcore.haar_unitary(2, rng, (3, 2)), matcore.haar_unitary(2, rng, (3, 4))])
+    with pytest.raises(NotUnitaryError, match="share n"):
+        ucrange.induced_correlation([matcore.haar_unitary(1, rng, (2, 3)), matcore.haar_unitary(4, rng, (1, 2))])
+    with pytest.raises(NotUnitaryError):  # list entries are stacks, not single tuples
+        ucrange.induced_correlation([ucrange.haar_tuple(2, 2, rng)])
+    with pytest.raises(NotUnitaryError):
+        ucrange.induced_correlation([])
 
 
 def _trace_loop(u):
@@ -145,7 +205,7 @@ def test_wuc_inner_matches_per_tuple_reference(n, monkeypatch):
         stacks, original = [], ucrange.induced_correlation
 
         def induced(u):
-            stacks.append(u.shape)
+            stacks.append([s.shape for s in u])
             return original(u)
 
         with monkeypatch.context() as patch:
@@ -153,19 +213,23 @@ def test_wuc_inner_matches_per_tuple_reference(n, monkeypatch):
             approx = ucrange.wuc_inner(t, k_list, samples, np.random.default_rng(21))
         tuples = _wuc_tuples(n, k_list, samples, np.random.default_rng(21))
         n_haar = approx.sample_meta["haar"]
-        # grid and structured tuples: one call per batch of same-k tuples,
-        # each batch as large as the entry bound allows
+        # grid and structured tuples: one call per full batch of same-k
+        # tuples, each as large as the entry bound allows, then one call for
+        # every batch still open, at most one stack per k
         drawn = tuples[: len(tuples) - n_haar]
         per_call = {k: max(1, ucrange.BATCH_ENTRIES // (n * k * k)) for k in {u.shape[-1] for u in drawn}}
         count = collections.Counter(u.shape[-1] for u in drawn)
-        batches = sum(-(-count[k] // per_call[k]) for k in count)
-        assert all(c <= per_call[k] for c, _, k, _ in stacks[:batches])
-        # Haar tuples: one call per k_list entry per chunk of whole cycles,
-        # then one per entry of the final partial cycle
+        batches = sum(count[k] // per_call[k] for k in count) + any(count[k] % per_call[k] for k in count)
+        assert all(len({k for _, _, k, _ in call}) == len(call) for call in stacks[:batches])
+        assert all(c <= per_call[k] for call in stacks[:batches] for c, _, k, _ in call)
+        assert sum(c for call in stacks[:batches] for c, _, _, _ in call) == len(drawn)
+        # Haar tuples: one call per chunk of whole cycles, one stack per
+        # k_list entry, then one call for the final partial cycle
         per_chunk = max(1, ucrange.BATCH_ENTRIES // (n * sum(k * k for k in k_list)))
         full, rest = divmod(n_haar, len(k_list))
-        assert len(stacks) == batches + -(-full // per_chunk) * len(k_list) + rest
-        assert all(c <= per_chunk for c, _, _, _ in stacks[batches:])
+        assert len(stacks) == batches + -(-full // per_chunk) + (rest > 0)
+        assert all([k for _, _, k, _ in call] == k_list[: len(call)] for call in stacks[batches:])
+        assert all(c <= per_chunk for call in stacks[batches:] for c, _, _, _ in call)
         one_by_one = [np.sum(t * ucrange.induced_correlation(u).matrix.T) / n for u in tuples]
         assert np.array_equal(approx.points, one_by_one)
         loop = np.array([np.sum(t * _trace_loop(u).T) / n for u in tuples])
@@ -244,7 +308,7 @@ def test_wuc_meta_reports_generators():
     assert meta["haar"] + meta["structured"] + meta["grid"] == len(approx.points)
 
 
-@pytest.mark.parametrize("k_list", [[0], [-1], [1, 0]])
+@pytest.mark.parametrize("k_list", [[0], [-1], [1, 0], [2.7, 1.2], [0.5], [2, float("nan")]])
 def test_wuc_rejects_k_below_one(k_list, monkeypatch):
     def draw(*args):
         raise AssertionError("a tuple was drawn before k_list was checked")
@@ -255,3 +319,16 @@ def test_wuc_rejects_k_below_one(k_list, monkeypatch):
     t = matcore.ginibre_random(3, np.random.default_rng(11))
     with pytest.raises(ValueError, match="k_list"):
         ucrange.wuc_inner(t, k_list=k_list, samples=20)
+
+
+def test_wuc_names_non_integral_k_as_given():
+    t = matcore.ginibre_random(3, np.random.default_rng(12))
+    with pytest.raises(ValueError, match=r"k_list entries must be integers, got \[2\.7, 1\.2\]"):
+        ucrange.wuc_inner(t, k_list=[2.7, 1.2], samples=20)
+    with pytest.raises(ValueError, match=r"got \[0\.5\]"):
+        ucrange.wuc_inner(t, k_list=[0.5], samples=20)
+    # integral values of any numeric type are the sizes they name
+    approx = ucrange.wuc_inner(t, k_list=[2.0, np.int64(1)], samples=20, rng=np.random.default_rng(1))
+    plain = ucrange.wuc_inner(t, k_list=[2, 1], samples=20, rng=np.random.default_rng(1))
+    assert approx.sample_meta["k_values"] == [2, 1]
+    assert np.array_equal(approx.points, plain.points)

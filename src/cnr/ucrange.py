@@ -4,7 +4,8 @@ induced range.
 A tuple of n unitary k x k matrices is one complex (n, k, k) array, and a
 stack of same-k tuples one (count, n, k, k) array.  Induced matrices are
 n x n whatever k is, so a list of stacks with different k is validated in
-one call, one eigensolve for all of them.
+one call, one eigensolve for all of them, as wuc_inner does for each chunk
+of its draws.
 A tuple induces the correlation matrix of the normalized trace inner
 products of its unitaries ((1/k) Tr(U_j* U_i)); each unitary is a unit
 vector in that inner product, so the result always lies in the elliptope.
@@ -30,13 +31,12 @@ from .errors import NotUnitaryError, require
 UNITARY_TOL = 1e-10
 DEFAULT_K_LIST = (1, 2, 4, 8, 16)
 DEFAULT_SAMPLES = 2000
-# wuc_inner draws at most this many unitary entries (256 KiB of complex128)
-# per Haar chunk, and holds at most this many per same-k batch of grid and
-# structured tuples; a Haar chunk, a full batch, and the batches left open at
-# the end are each validated in one call.  On the induced benchmark (2
-# cores, 25 s runs, seeds 1-3, each Haar k validated on its own) 4,096 gave
-# 49 ops/s at 41.0 MB peak RSS (an n = 8 chunk is then one cycle), 16,384
-# gave 77-84 ops/s at 42.2 MB and 32,768 gave 85-90 ops/s at 44.0 MB.
+# wuc_inner validates at most this many unitary entries (256 KiB of
+# complex128) per chunk of draws, or one structured tuple or one Haar cycle
+# that alone is larger; the n = 2 disk grid is one stack.  On the induced
+# benchmark (2 cores, 25 s runs, seeds 1-3) 4,096 gave 49 ops/s at 41.0 MB
+# peak RSS (an n = 8 chunk is then one cycle), 16,384 gave 77-84 ops/s at
+# 42.2 MB and 32,768 gave 85-90 ops/s at 44.0 MB.
 BATCH_ENTRIES = 16384
 
 
@@ -158,9 +158,14 @@ def wuc_inner(
     samples is the number of points aimed at; there can be more.  At least
     3 structured tuples are always drawn, and at n = 2 the disk grid has at
     least 16 tuples, so samples=1 gives 3 points away from n = 2, and
-    samples=10 at n = 2 gives 19.  k_list entries must be integers (2.0
-    names k = 2; 2.7 is rejected) and at least 1.
+    samples=10 at n = 2 gives 19.  samples and the k_list entries must be
+    integers (2.0 names 2; 2.7 is rejected), and at least 1.  Each chunk of
+    draws (the disk grid, a run of structured tuples, whole k_list cycles of
+    Haar tuples) is validated in one induced_correlation call.
     """
+    if not float(samples).is_integer():
+        raise ValueError(f"samples must be an integer, got {samples}")
+    samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be positive")
     given = list(k_list)
@@ -176,50 +181,42 @@ def wuc_inner(
     n = t.shape[0]
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    grid: np.ndarray | list = []
-    if n == 2:
-        g = int(np.ceil(np.sqrt(max(samples // 4, 8) / 4)))
-        radii = np.linspace(0.0, 1.0, g + 1)[1:]
-        phases = np.linspace(0.0, 2.0 * np.pi, 4 * g, endpoint=False)
-        grid = disk_tuples_2x2(radii, phases)
-    n_grid = len(grid)
+    g = int(np.ceil(np.sqrt(max(samples // 4, 8) / 4))) if n == 2 else 0
+    n_grid = 4 * g * g  # g radii times 4g phases
     n_structured = max(samples // 5, 3)
     n_haar = max(samples - n_grid - n_structured, 0)
 
     points = np.empty(n_grid + n_structured + n_haar, dtype=np.complex128)
 
-    def trace_values(u) -> np.ndarray:
-        b = induced_correlation(u).matrix
-        return np.sum(t * b.swapaxes(-1, -2), axis=(-2, -1)) / n
+    # A chunk is validated as soon as it is drawn; order holds the draw
+    # indices of its stacks' tuples, in the stacks' order.
+    def validate(order, stacks) -> None:
+        b = induced_correlation(stacks).matrix
+        points[order] = np.sum(t * b.swapaxes(-1, -2), axis=(-2, -1)) / n
 
-    # Collect same-k grid and structured tuples as they are drawn, in
-    # batches of at most BATCH_ENTRIES unitary entries, so that only one
-    # open batch per k is held; a full batch is validated alone, and the
-    # batches still open at the end in one call.  Each point goes to its
-    # tuple's place in the draw order.
-    open_batches: dict[int, list] = {}
+    def validate_run(run) -> None:
+        run.sort(key=lambda pair: pair[1].shape[-1])  # stable: draw order within each k
+        groups = itertools.groupby(run, key=lambda pair: pair[1].shape[-1])
+        validate([i for i, _ in run], [np.stack([u for _, u in group]) for _, group in groups])
 
-    def validate(ks) -> None:
-        order, stacks = [], []
-        for k in ks:
-            indices, batch = zip(*open_batches.pop(k))
-            order.extend(indices)
-            stacks.append(np.stack(batch))
-        points[order] = trace_values(stacks)
-
-    for i, u in enumerate(itertools.chain(grid, _structured_tuples(n, k_list, n_structured, rng))):
-        k = u.shape[-1]
-        open_batches.setdefault(k, []).append((i, u))
-        if len(open_batches[k]) >= max(1, BATCH_ENTRIES // (n * k * k)):
-            validate([k])
-    if open_batches:
-        validate(list(open_batches))
-
-    # Haar tuple j has inner dimension k_list[j % cycle]: draw them a chunk
-    # of whole cycles of k_list at a time (at most BATCH_ENTRIES unitary
-    # entries, at least one cycle), then a final partial cycle, and validate
-    # each chunk in one call.  Entry a of cycle c is draw index
-    # base + c * cycle + a, and row a * count + c of the chunk's values.
+    if n_grid:
+        radii = np.linspace(0.0, 1.0, g + 1)[1:]
+        phases = np.linspace(0.0, 2.0 * np.pi, 4 * g, endpoint=False)
+        validate(np.arange(n_grid), [disk_tuples_2x2(radii, phases)])
+    # a structured run is closed before the next tuple would take it past
+    # BATCH_ENTRIES unitary entries, and not held once validated
+    run, entries = [], 0
+    for i, u in enumerate(_structured_tuples(n, k_list, n_structured, rng), n_grid):
+        if run and entries + u.size > BATCH_ENTRIES:
+            validate_run(run)
+            run, entries = [], 0
+        run.append((i, u))
+        entries += u.size
+    validate_run(run)
+    del run, u
+    # Haar tuple base + c * cycle + a is size a of cycle c, k = k_list[a]: a
+    # chunk is as many whole cycles as fit in BATCH_ENTRIES (at least one),
+    # and a final partial cycle is one more
     base, cycle = n_grid + n_structured, len(k_list)
     per_chunk = max(1, BATCH_ENTRIES // (n * sum(k * k for k in k_list)))
     full, rest = divmod(n_haar, cycle)
@@ -227,9 +224,8 @@ def wuc_inner(
     if rest:
         chunks.append((full, 1, k_list[:rest]))
     for c0, count, sizes in chunks:
-        values = trace_values(matcore.haar_unitary(sizes, rng, (count, n)))
-        start = base + c0 * cycle
-        points[start : start + values.size] = values.reshape(len(sizes), count).T.ravel()
+        order = base + (c0 + np.arange(count)) * cycle + np.arange(len(sizes))[:, None]
+        validate(order.ravel(), matcore.haar_unitary(sizes, rng, (count, n)))
     hull = geometry.convex_hull(np.column_stack([points.real, points.imag]))
     meta = {
         "k_values": list(k_list),

@@ -212,24 +212,34 @@ def test_wuc_inner_matches_per_tuple_reference(n, monkeypatch):
             patch.setattr(ucrange, "induced_correlation", induced)
             approx = ucrange.wuc_inner(t, k_list, samples, np.random.default_rng(21))
         tuples = _wuc_tuples(n, k_list, samples, np.random.default_rng(21))
-        n_haar = approx.sample_meta["haar"]
-        # grid and structured tuples: one call per full batch of same-k
-        # tuples, each as large as the entry bound allows, then one call for
-        # every batch still open, at most one stack per k
-        drawn = tuples[: len(tuples) - n_haar]
-        per_call = {k: max(1, ucrange.BATCH_ENTRIES // (n * k * k)) for k in {u.shape[-1] for u in drawn}}
-        count = collections.Counter(u.shape[-1] for u in drawn)
-        batches = sum(count[k] // per_call[k] for k in count) + any(count[k] % per_call[k] for k in count)
-        assert all(len({k for _, _, k, _ in call}) == len(call) for call in stacks[:batches])
-        assert all(c <= per_call[k] for call in stacks[:batches] for c, _, k, _ in call)
-        assert sum(c for call in stacks[:batches] for c, _, _, _ in call) == len(drawn)
+        meta = approx.sample_meta
+        n_grid, n_haar = meta["grid"], meta["haar"]
+        # the disk grid is one stack
+        first = 1 if n_grid else 0
+        assert stacks[:first] == [[(n_grid, 2, 2, 2)]][:first]
+        # structured tuples: runs of consecutive draws, each closed before
+        # the next tuple would take it past the entry bound, one stack per k
+        runs, entries = [[]], 0
+        for u in tuples[n_grid : n_grid + meta["structured"]]:
+            if runs[-1] and entries + u.size > ucrange.BATCH_ENTRIES:
+                runs, entries = runs + [[]], 0
+            runs[-1].append(u.shape[-1])
+            entries += u.size
+        structured = stacks[first : first + len(runs)]
+        assert [sorted((k, c) for c, _, k, _ in call) for call in structured] == [
+            sorted(collections.Counter(run).items()) for run in runs
+        ]
         # Haar tuples: one call per chunk of whole cycles, one stack per
         # k_list entry, then one call for the final partial cycle
+        haar = stacks[first + len(runs) :]
         per_chunk = max(1, ucrange.BATCH_ENTRIES // (n * sum(k * k for k in k_list)))
         full, rest = divmod(n_haar, len(k_list))
-        assert len(stacks) == batches + -(-full // per_chunk) + (rest > 0)
-        assert all([k for _, _, k, _ in call] == k_list[: len(call)] for call in stacks[batches:])
-        assert all(c <= per_chunk for call in stacks[batches:] for c, _, _, _ in call)
+        assert len(haar) == -(-full // per_chunk) + (rest > 0)
+        assert all([k for _, _, k, _ in call] == k_list[: len(call)] for call in haar)
+        assert all(c <= per_chunk for call in haar for c, _, _, _ in call)
+        assert sum(c for call in haar for c, _, _, _ in call) == n_haar
+        # no call passes the entry bound
+        assert all(sum(c * m * k * k for c, m, k, _ in call) <= ucrange.BATCH_ENTRIES for call in stacks)
         one_by_one = [np.sum(t * ucrange.induced_correlation(u).matrix.T) / n for u in tuples]
         assert np.array_equal(approx.points, one_by_one)
         loop = np.array([np.sum(t * _trace_loop(u).T) / n for u in tuples])
@@ -261,6 +271,27 @@ def test_wuc_inner_draw_size_bounded(n, k_list, samples):
     assert len(rng.sizes) > 1
     plain = ucrange.wuc_inner(t, k_list, samples, np.random.default_rng(31))
     assert np.array_equal(approx.points, plain.points)
+
+
+@pytest.mark.parametrize("n, k_list, samples", [(16, (1, 2, 3), 5000), (5, (64, 1), 12)])
+def test_wuc_inner_validation_bounded(n, k_list, samples, monkeypatch):
+    # every induced_correlation call holds at most BATCH_ENTRIES unitary
+    # entries, unless it is a single structured tuple or one Haar cycle that
+    # alone is larger (n = 5 with k = 64)
+    calls, original = [], ucrange.induced_correlation
+
+    def induced(u):
+        calls.append([s.shape for s in u])
+        return original(u)
+
+    monkeypatch.setattr(ucrange, "induced_correlation", induced)
+    t = matcore.ginibre_random(n, np.random.default_rng(40 + n))
+    approx = ucrange.wuc_inner(t, k_list, samples, np.random.default_rng(41))
+    assert sum(c for call in calls for c, _, _, _ in call) == len(approx.points)
+    for call in calls:
+        ones = all(c == 1 for c, _, _, _ in call)
+        single = ones and (len(call) == 1 or [k for _, _, k, _ in call] == list(k_list))
+        assert sum(c * m * k * k for c, m, k, _ in call) <= ucrange.BATCH_ENTRIES or single, call
 
 
 def test_wuc_inner_diagonal_matrix_collapses():
@@ -319,6 +350,29 @@ def test_wuc_rejects_k_below_one(k_list, monkeypatch):
     t = matcore.ginibre_random(3, np.random.default_rng(11))
     with pytest.raises(ValueError, match="k_list"):
         ucrange.wuc_inner(t, k_list=k_list, samples=20)
+
+
+@pytest.mark.parametrize("samples", [200.5, 2.5, np.float64(0.5), float("nan")])
+def test_wuc_names_fractional_samples_before_drawing(samples, monkeypatch):
+    def draw(*args):
+        raise AssertionError("a tuple was drawn before samples was checked")
+
+    for name in ("haar_tuple", "phase_tuple", "scalar_tuple", "permutation_tuple"):
+        monkeypatch.setattr(ucrange, name, draw)
+    monkeypatch.setattr(matcore, "haar_unitary", draw)
+    t = matcore.ginibre_random(3, np.random.default_rng(13))
+    with pytest.raises(ValueError, match=f"samples must be an integer, got {samples}"):
+        ucrange.wuc_inner(t, samples=samples)
+
+
+def test_wuc_accepts_integral_samples_of_any_type():
+    t = matcore.ginibre_random(2, np.random.default_rng(14))
+    plain = ucrange.wuc_inner(t, samples=200, rng=np.random.default_rng(1))
+    for samples in (200.0, np.float64(200.0), np.int64(200)):
+        approx = ucrange.wuc_inner(t, samples=samples, rng=np.random.default_rng(1))
+        assert np.array_equal(approx.points, plain.points)
+        assert approx.sample_meta == plain.sample_meta
+        assert all(type(v) is int for key, v in approx.sample_meta.items() if key != "k_values")
 
 
 def test_wuc_names_non_integral_k_as_given():

@@ -202,10 +202,12 @@ def _rounding_floor(h: np.ndarray) -> float:
 # Centred barrier path, shared by polish_dual and metrics._barrier: damped
 # Newton steps centre each mu level, up to and including one with decrement
 # -grad.step <= PATH_TOL * mu (PATH_STEPS is only a safety stop: the slowest
-# level seen on benchmark-shaped inputs, seminorm n <= 16 and support
-# n <= 32, takes 14 steps); then mu shrinks by PATH_SHRINK.  A step is
-# halved, at most 40 times, until it stays in the cone and passes an Armijo
-# test of slope fraction 1/4, with a slack of 1e-12 (1 + |merit|) for
+# level seen takes 11 steps on the seminorm at n <= 16, benchmark inputs and
+# the masked-sparse input of test_seminorm_centres_slow_levels alike, and 9
+# on support solves at n <= 32); then mu shrinks by PATH_SHRINK.  A step of
+# Newton decrement lam starts at length 1/(1 + lam) if lam > 1/4, else 1,
+# and is halved, at most 40 times, until it stays in the cone and passes an
+# Armijo test of slope fraction 1/4, with a slack of 1e-12 (1 + |merit|) for
 # rounding.
 PATH_TOL = 1e-6
 PATH_STEPS = 100
@@ -218,9 +220,15 @@ def _centred_path(cost, slack, newton, x, mu, stop, level=None):
     slack(x) is a Hermitian matrix, affine in the real vector x; x must make
     it positive definite, else LinAlgError is raised.  newton(w, mu) returns
     the barrier gradient and the Newton step at the iterate x with
-    w = slack(x)^-1; a LinAlgError from it ends the level.  After each level,
-    level(slack(x)^-1) is called if given, and the path ends once stop(mu)
-    holds.  Returns the last centred iterate, which is strictly interior.
+    w = slack(x)^-1, formed once per accepted step; a LinAlgError from it
+    ends the level.  Its matrix must be the barrier's exact Hessian, so that
+    lam = sqrt(-grad.step / mu) is the step's local norm: the damped step
+    1/(1 + lam) then stays in the Dikin ellipsoid, hence in the cone, and
+    passes the Armijo test, as lam - ln(1 + lam) >= lam^2 / (4 (1 + lam)).
+    After each level, level(slack(x)^-1) is called if given; it must not
+    modify its argument, which the next Newton system reads.  The path ends
+    once stop(mu) holds.  Returns the last centred iterate, which is
+    strictly interior.
     """
 
     def factor(x):
@@ -239,15 +247,18 @@ def _centred_path(cost, slack, newton, x, mu, stop, level=None):
     logdet, c = factor(x)
     if c is None:
         raise np.linalg.LinAlgError("the path must start inside the cone")
+    w = inverse(c)
     while True:
         f = float(cost @ x) - mu * logdet
         for _ in range(PATH_STEPS):
             try:
-                grad, dx = newton(inverse(c), mu)
+                grad, dx = newton(w, mu)
             except np.linalg.LinAlgError:  # Newton system singular at rounding level
                 break
             slope = float(grad @ dx)
-            for t in (0.5**k for k in range(40)):
+            lam = math.sqrt(max(-slope / mu, 0.0))
+            t0 = 1.0 / (1.0 + lam) if lam > 0.25 else 1.0
+            for t in (t0 * 0.5**k for k in range(40)):
                 x_new = x + t * dx
                 logdet_new, c_new = factor(x_new)
                 f_new = float(cost @ x_new) - mu * logdet_new
@@ -255,11 +266,11 @@ def _centred_path(cost, slack, newton, x, mu, stop, level=None):
                     break
             else:
                 break
-            x, f, logdet, c = x_new, f_new, logdet_new, c_new
+            x, f, logdet, w = x_new, f_new, logdet_new, inverse(c_new)
             if -slope <= PATH_TOL * mu:
                 break
         if level is not None:
-            level(inverse(c))
+            level(w)
         if stop(mu):
             return x
         mu *= PATH_SHRINK

@@ -145,7 +145,7 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
     lowers = [0.0]
 
     def level(w):
-        y = w[n:, :n]
+        y = w[n:, :n].copy()
         np.fill_diagonal(y, np.mean(np.diag(y)))
         nuclear = float(np.sum(_singular_values(y)))
         if nuclear > 0.0:

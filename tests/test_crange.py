@@ -299,6 +299,14 @@ def test_polish_dual_ends_centred_and_interior(seed, op, k):
     assert -1e-12 <= float(np.mean(y)) - value <= stop_tol
 
 
+def test_polish_dual_path_stays_in_the_cone(path_counts):
+    # damped steps stay inside the cone; about 60% of full-length first
+    # trials leave it on these paths
+    for seed, op, k in HARD_DIRECTIONS:
+        test_polish_dual_ends_centred_and_interior(seed, op, k)
+    assert 50 * path_counts.failed < sum(path_counts.levels)
+
+
 def test_large_diagonal_keeps_certificate():
     # diag(H) adds mean(diag H) to every value; its rounding must cost
     # neither the certificate nor accuracy where it dwarfs the rest of H

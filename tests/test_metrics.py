@@ -82,8 +82,9 @@ def test_seminorm_scale(c):
 
 
 def test_seminorm_centres_slow_levels():
-    # masked-sparse n = 16 input whose second barrier level needs 41 Newton
-    # steps to centre; cut off earlier, the bracket stayed 0.14 wide
+    # masked-sparse n = 16 input whose slowest barrier level takes 11 damped
+    # Newton steps to centre, 41 if each step starts at full length; cut off
+    # earlier, the bracket stayed 0.14 wide
     rng = np.random.default_rng([4, 587])
     t = matcore.ginibre_random(16, rng)
     mask = rng.random((16, 16)) < 2.0 / 16
@@ -91,6 +92,40 @@ def test_seminorm_centres_slow_levels():
     res = metrics.correlation_seminorm_full(t * mask)
     assert res.agreed
     assert 0.0 <= res.value - res.lower <= metrics.SEMINORM_TOL
+
+
+def test_seminorm_path_stays_in_the_cone(path_counts):
+    # damped steps of length 1/(1 + lam) stay inside the cone, so the line
+    # search spends no factorisation outside it (about 1.6 per Newton step
+    # if each step starts at full length)
+    for n in (4, 8, 16):
+        for sparse in (False, True):
+            test_seminorm_bracket(n, sparse)
+    assert 50 * path_counts.failed < sum(path_counts.levels)
+
+
+def test_seminorm_levels_centre_in_few_steps(path_counts):
+    test_seminorm_centres_slow_levels()
+    assert max(path_counts.levels) <= 15
+
+
+def test_seminorm_level_hook_leaves_slack_inverse(monkeypatch):
+    # the path hands the same slack inverse to the hook and to the next
+    # Newton system, so the hook must not write into it
+    centred_path = metrics._centred_path
+    levels = []
+
+    def path(cost, slack, newton, x, mu, stop, level):
+        def checked_level(w):
+            before = w.copy()
+            level(w)
+            levels.append(np.array_equal(w, before))
+
+        return centred_path(cost, slack, newton, x, mu, stop, checked_level)
+
+    monkeypatch.setattr(metrics, "_centred_path", path)
+    metrics.correlation_seminorm_full(matcore.ginibre_random(4, np.random.default_rng(0)))
+    assert levels and all(levels)
 
 
 def test_seminorm_lower_bounds():

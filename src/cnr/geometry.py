@@ -98,9 +98,13 @@ def directed_hausdorff(pts, poly) -> float:
     poly = np.asarray(poly, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return 0.0
+    # distances are found on both sets scaled by one power of two, exactly,
+    # to below 1 in magnitude, so squared coordinates cannot overflow
+    _, e = np.frexp(max(np.max(np.abs(pts)), np.max(np.abs(poly))))
+    pts, poly = np.ldexp(pts, -e), np.ldexp(poly, -e)
     chunk = max(1, (1 << 18) // len(poly))  # bounds the points x edges temporaries
     parts = (_polygon_distances(pts[i : i + chunk], poly) for i in range(0, len(pts), chunk))
-    return max(float(np.max(d)) for d in parts)
+    return float(np.ldexp(max(float(np.max(d)) for d in parts), e))
 
 
 def hausdorff(poly_a, poly_b) -> float:

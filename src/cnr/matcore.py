@@ -93,46 +93,17 @@ def ginibre_random(n: int, rng: np.random.Generator, shape: tuple = ()) -> np.nd
     shape + (n, n) stack drawn as successive matrices would be."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _complex_gaussian(rng.standard_normal(tuple(shape) + (2, n, n)))
-
-
-def _complex_gaussian(g: np.ndarray) -> np.ndarray:
-    """(..., 2, n, n) real normals as (..., n, n) complex ones: real parts,
-    then imaginary."""
+    g = rng.standard_normal(tuple(shape) + (2, n, n))
     return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
 
 
-def _phase_corrected_qr(z: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
-def haar_unitary(k, rng: np.random.Generator, shape: tuple = ()):
+def haar_unitary(k: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
     """Haar-distributed k x k unitary: Ginibre, then QR with phase correction
     (Mezzadri, Notices AMS 2007).  With shape, a shape + (k, k) array of
     independent ones from one draw and one stacked QR, reading the random
-    stream as successive single draws do.
-
-    k may also be a sequence of sizes k_1..k_L: then shape[0] counts cycles
-    and the result is one shape + (k_a, k_a) array per size, equal to what
-    successive haar_unitary(k_a, rng, shape[1:]) calls draw cycle by cycle
-    (for each cycle, each size in turn), from one Gaussian draw and one
-    stacked QR per size."""
-    if np.ndim(k) == 0:
-        if k < 1:
-            raise ValueError("k must be positive")
-        return _phase_corrected_qr(ginibre_random(k, rng, shape))
-    sizes = [int(a) for a in k]
-    if not sizes or min(sizes) < 1:
-        raise ValueError(f"sizes must be positive, got {sizes}")
-    if len(shape) < 1:
-        raise ValueError("a sequence of sizes needs shape[0] to count cycles")
-    shape = tuple(shape)
-    widths = [2 * int(np.prod(shape[1:])) * a * a for a in sizes]
-    ends = np.cumsum(widths)
-    g = rng.standard_normal((shape[0], int(ends[-1])))  # one row per cycle
-    return [
-        _phase_corrected_qr(_complex_gaussian(g[:, end - w : end].reshape(shape + (2, a, a))))
-        for a, w, end in zip(sizes, widths, ends)
-    ]
+    stream as successive single draws do."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    q, r = np.linalg.qr(ginibre_random(k, rng, shape))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

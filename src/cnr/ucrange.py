@@ -2,10 +2,11 @@
 induced range.
 
 A tuple of n unitary k x k matrices is one complex (n, k, k) array, and a
-stack of same-k tuples one (count, n, k, k) array.  Induced matrices are
-n x n whatever k is, so a list of stacks with different k is validated in
-one call, one eigensolve for all of them, as wuc_inner does for each chunk
-of its draws.
+stack of same-k tuples one (count, n, k, k) array.  Each generator takes
+a shape and returns a shape + (n, k, k) stack, equal to successive single
+draws.  Induced matrices are n x n whatever k is, so a list of stacks with
+different k is validated in one call, one eigensolve for all of them, as
+wuc_inner does for each chunk of its draws.
 A tuple induces the correlation matrix of the normalized trace inner
 products of its unitaries ((1/k) Tr(U_j* U_i)); each unitary is a unit
 vector in that inner product, so the result always lies in the elliptope.
@@ -18,7 +19,6 @@ tuples and claims the result is induced: hulls are labeled as hulls.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +31,13 @@ from .errors import NotUnitaryError, require
 UNITARY_TOL = 1e-10
 DEFAULT_K_LIST = (1, 2, 4, 8, 16)
 DEFAULT_SAMPLES = 2000
-# wuc_inner validates at most this many unitary entries (256 KiB of
-# complex128) per chunk of draws, or one structured tuple or one Haar cycle
-# that alone is larger; the n = 2 disk grid is one stack.  On the induced
-# benchmark (2 cores, 25 s runs, seeds 1-3) 4,096 gave 49 ops/s at 41.0 MB
-# peak RSS (an n = 8 chunk is then one cycle), 16,384 gave 77-84 ops/s at
-# 42.2 MB and 32,768 gave 85-90 ops/s at 44.0 MB.
+# wuc_inner validates at most this many entries (256 KiB of complex128) per
+# chunk of draws, or one tuple that alone is larger, counting n * max(k^2, n)
+# per tuple: its unitaries or its Gram matrix, whichever is larger.  On the
+# induced benchmark (2 cores, 8 s runs, seeds 1-3) 8,192, 16,384 and 32,768
+# all gave 103-113 ops/s, at 41.3, 42.4 and 43.4 MB peak RSS; at n = 64 with
+# k_list [1] and 20,000 samples, peak RSS is 41.9 MB (103.4 MB when only
+# unitary entries were counted).
 BATCH_ENTRIES = 16384
 
 
@@ -95,25 +96,34 @@ def _diagonals(d: np.ndarray) -> np.ndarray:
     return u
 
 
-def haar_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    return matcore.haar_unitary(k, rng, (n,))
+def haar_tuple(n: int, k: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Independent Haar unitaries."""
+    return matcore.haar_unitary(k, rng, tuple(shape) + (n,))
 
 
-def phase_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+def phase_tuple(n: int, k: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
     """Commuting diagonal-phase unitaries."""
-    return _diagonals(np.exp(2j * np.pi * rng.random((n, k))))
+    return _diagonals(np.exp(2j * np.pi * rng.random(tuple(shape) + (n, k))))
 
 
-def scalar_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+def scalar_tuple(n: int, k: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
     """Scalar phases times the identity: induces a rank-one correlation
     matrix (an extreme point class Haar sampling misses)."""
-    phases = np.exp(2j * np.pi * rng.random(n))
-    return phases[:, None, None] * np.eye(k, dtype=np.complex128)
+    phases = np.exp(2j * np.pi * rng.random(tuple(shape) + (n,)))
+    return phases[..., None, None] * np.eye(k, dtype=np.complex128)
 
 
-def permutation_tuple(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    eye = np.eye(k, dtype=np.complex128)
-    return eye[np.array([rng.permutation(k) for _ in range(n)])]
+def permutation_tuple(n: int, k: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Uniform permutation matrices, each the argsort of k uniform draws."""
+    return np.eye(k, dtype=np.complex128)[np.argsort(rng.random(tuple(shape) + (n, k)), axis=-1)]
+
+
+def _disk_pairs(r: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """One n = 2 disk tuple per (r, psi) pair of two same-length arrays."""
+    alpha = np.arccos(np.clip(r, -1.0, 1.0))
+    # mean of conj(d) = r e^{i psi}
+    d = np.exp(1j * (np.stack([alpha, -alpha], axis=-1) - psi[:, None]))
+    return _diagonals(np.stack([np.ones_like(d), d], axis=-2))
 
 
 def disk_tuples_2x2(radii, phases) -> np.ndarray:
@@ -121,25 +131,8 @@ def disk_tuples_2x2(radii, phases) -> np.ndarray:
     whose induced off-diagonal entry is exactly r * exp(i psi).  Covers the
     whole parameter disk of the 2 x 2 elliptope on a grid.  Returns one
     (len(radii) * len(phases), 2, 2, 2) array, radius-major."""
-    alpha = np.arccos(np.clip(np.asarray(radii, dtype=float), -1.0, 1.0))
-    psi = np.asarray(phases, dtype=float)
-    # mean of conj(d) = r e^{i psi}
-    d = np.exp(1j * (np.stack([alpha, -alpha], axis=-1)[:, None, :] - psi[None, :, None]))
-    return _diagonals(np.stack([np.ones_like(d), d], axis=-2).reshape(-1, 2, 2))
-
-
-def _structured_tuples(n: int, k_list, n_structured: int, rng: np.random.Generator):
-    """wuc_inner's structured tuples in draw order: phase, scalar and
-    permutation tuples in turn across k_list."""
-    for j in range(n_structured):
-        k = k_list[j % len(k_list)]
-        kind = j % 3
-        if kind == 0:
-            yield phase_tuple(n, k, rng)
-        elif kind == 1:
-            yield scalar_tuple(n, k, rng)
-        else:
-            yield permutation_tuple(n, max(k, 2), rng)
+    r, psi = np.asarray(radii, dtype=float), np.asarray(phases, dtype=float)
+    return _disk_pairs(np.repeat(r, len(psi)), np.tile(psi, len(r)))
 
 
 def wuc_inner(
@@ -159,9 +152,14 @@ def wuc_inner(
     3 structured tuples are always drawn, and at n = 2 the disk grid has at
     least 16 tuples, so samples=1 gives 3 points away from n = 2, and
     samples=10 at n = 2 gives 19.  samples and the k_list entries must be
-    integers (2.0 names 2; 2.7 is rejected), and at least 1.  Each chunk of
-    draws (the disk grid, a run of structured tuples, whole k_list cycles of
-    Haar tuples) is validated in one induced_correlation call.
+    integers (2.0 names 2; 2.7 is rejected), and at least 1.
+
+    The draws follow one plan of same-k stacks: the disk grid, then the
+    structured tuples split over the (kind, k) pairs, kind varying fastest
+    (permutations at k = 1 are drawn at k = 2), then the Haar tuples split
+    over k_list; splits differ by at most one tuple.  Stacks are drawn in
+    pieces that read the random stream as single draws do, and each chunk
+    of pieces is validated in one induced_correlation call.
     """
     if not float(samples).is_integer():
         raise ValueError(f"samples must be an integer, got {samples}")
@@ -186,46 +184,45 @@ def wuc_inner(
     n_structured = max(samples // 5, 3)
     n_haar = max(samples - n_grid - n_structured, 0)
 
+    # the plan: (draw, k, count) stacks in draw order, draw(lo, hi) giving
+    # tuples lo..hi-1 of its stack
+    def drawn(make, k):
+        return lambda lo, hi: make(n, k, rng, (hi - lo,))
+
+    plan = []
+    if n_grid:
+        radius = np.repeat(np.linspace(0.0, 1.0, g + 1)[1:], 4 * g)
+        phase = np.tile(np.linspace(0.0, 2.0 * np.pi, 4 * g, endpoint=False), g)
+        plan.append((lambda lo, hi: _disk_pairs(radius[lo:hi], phase[lo:hi]), 2, n_grid))
+    kinds = [
+        pair for k in k_list for pair in ((phase_tuple, k), (scalar_tuple, k), (permutation_tuple, max(k, 2)))
+    ]
+    for pairs, total in ((kinds, n_structured), ([(haar_tuple, k) for k in k_list], n_haar)):
+        share, extra = divmod(total, len(pairs))
+        plan += [(drawn(make, k), k, share + (j < extra)) for j, (make, k) in enumerate(pairs)]
+
     points = np.empty(n_grid + n_structured + n_haar, dtype=np.complex128)
 
-    # A chunk is validated as soon as it is drawn; order holds the draw
-    # indices of its stacks' tuples, in the stacks' order.
-    def validate(order, stacks) -> None:
-        b = induced_correlation(stacks).matrix
-        points[order] = np.sum(t * b.swapaxes(-1, -2), axis=(-2, -1)) / n
+    def validate(chunk, start: int) -> int:
+        b = induced_correlation(chunk).matrix
+        points[start : start + len(b)] = np.sum(t * b.swapaxes(-1, -2), axis=(-2, -1)) / n
+        return start + len(b)
 
-    def validate_run(run) -> None:
-        run.sort(key=lambda pair: pair[1].shape[-1])  # stable: draw order within each k
-        groups = itertools.groupby(run, key=lambda pair: pair[1].shape[-1])
-        validate([i for i, _ in run], [np.stack([u for _, u in group]) for _, group in groups])
-
-    if n_grid:
-        radii = np.linspace(0.0, 1.0, g + 1)[1:]
-        phases = np.linspace(0.0, 2.0 * np.pi, 4 * g, endpoint=False)
-        validate(np.arange(n_grid), [disk_tuples_2x2(radii, phases)])
-    # a structured run is closed before the next tuple would take it past
-    # BATCH_ENTRIES unitary entries, and not held once validated
-    run, entries = [], 0
-    for i, u in enumerate(_structured_tuples(n, k_list, n_structured, rng), n_grid):
-        if run and entries + u.size > BATCH_ENTRIES:
-            validate_run(run)
-            run, entries = [], 0
-        run.append((i, u))
-        entries += u.size
-    validate_run(run)
-    del run, u
-    # Haar tuple base + c * cycle + a is size a of cycle c, k = k_list[a]: a
-    # chunk is as many whole cycles as fit in BATCH_ENTRIES (at least one),
-    # and a final partial cycle is one more
-    base, cycle = n_grid + n_structured, len(k_list)
-    per_chunk = max(1, BATCH_ENTRIES // (n * sum(k * k for k in k_list)))
-    full, rest = divmod(n_haar, cycle)
-    chunks = [(c0, min(per_chunk, full - c0), k_list) for c0 in range(0, full, per_chunk)]
-    if rest:
-        chunks.append((full, 1, k_list[:rest]))
-    for c0, count, sizes in chunks:
-        order = base + (c0 + np.arange(count)) * cycle + np.arange(len(sizes))[:, None]
-        validate(order.ravel(), matcore.haar_unitary(sizes, rng, (count, n)))
+    # a chunk is closed before the next tuple would take it past
+    # BATCH_ENTRIES, and not held once validated
+    chunk, room, start = [], BATCH_ENTRIES, 0
+    for draw, k, count in plan:
+        size, lo = n * max(k * k, n), 0
+        while lo < count:
+            c = min(count - lo, room // size)
+            if c < 1 and chunk:
+                start = validate(chunk, start)
+                chunk, room = [], BATCH_ENTRIES
+                continue
+            c = max(c, 1)  # a tuple larger than the bound alone
+            chunk.append(draw(lo, lo + c))
+            room, lo = room - c * size, lo + c
+    validate(chunk, start)
     hull = geometry.convex_hull(np.column_stack([points.real, points.imag]))
     meta = {
         "k_values": list(k_list),

@@ -105,6 +105,17 @@ def test_hausdorff_shifted_squares():
     assert geometry.directed_hausdorff(pts, disk) == ref
 
 
+def test_hausdorff_at_extreme_scales():
+    # squared coordinates of 2^1000-scaled sets overflow unless rescaled
+    rng = np.random.default_rng(2)
+    p, q = rng.standard_normal((40, 2)), geometry.convex_hull(rng.standard_normal((30, 2)))
+    for c in (2.0**1000, 2.0**-1000):
+        for f in (geometry.directed_hausdorff, geometry.hausdorff):
+            plain = f(p, q)
+            assert plain > 0.0
+            assert abs(f(c * p, c * q) - c * plain) <= 1e-15 * c * plain
+
+
 def test_polygon_support():
     square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     assert geometry.polygon_support(square, 0.0) == pytest.approx(1.0)

@@ -156,31 +156,6 @@ def test_haar_unitary_int_k_is_phase_corrected_ginibre_qr():
         assert np.array_equal(matcore.haar_unitary(k, np.random.default_rng(40 + k), shape), expected)
 
 
-@pytest.mark.parametrize("sizes, cycles", [([3, 1, 3], 4), ([2], 3), ([3, 1, 3][:2], 1), ([5, 2, 4, 1], 1)])
-def test_haar_unitary_sizes_are_successive_draws(sizes, cycles):
-    # cycle by cycle, each size in turn, as single draws of (n,) stacks
-    n = 2
-    one_by_one = np.random.default_rng(50)
-    expected = [[] for _ in sizes]
-    for _ in range(cycles):
-        for a, k in enumerate(sizes):
-            expected[a].append(matcore.haar_unitary(k, one_by_one, (n,)))
-    stacked = np.random.default_rng(50)
-    u = matcore.haar_unitary(sizes, stacked, (cycles, n))
-    assert len(u) == len(sizes)
-    for a, k in enumerate(sizes):
-        assert u[a].shape == (cycles, n, k, k)
-        assert np.array_equal(u[a], np.stack(expected[a]))
-    assert stacked.standard_normal() == one_by_one.standard_normal()
-
-
-def test_haar_unitary_sizes_rejected():
-    rng = np.random.default_rng(0)
-    for sizes, shape in (([], (2, 1)), ([2, 0], (2, 1)), ([2], ())):
-        with pytest.raises(ValueError):
-            matcore.haar_unitary(sizes, rng, shape)
-
-
 def test_hermitian_eigs_stack_matches_each_matrix():
     rng = np.random.default_rng(12)
     for n in (1, 3, 6):

@@ -127,16 +127,28 @@ def _trace_loop(u):
     return b
 
 
-@pytest.mark.parametrize(
-    "make",
-    [ucrange.haar_tuple, ucrange.phase_tuple, ucrange.scalar_tuple, ucrange.permutation_tuple],
-)
+_GENERATORS = [ucrange.haar_tuple, ucrange.phase_tuple, ucrange.scalar_tuple, ucrange.permutation_tuple]
+
+
+@pytest.mark.parametrize("make", _GENERATORS)
 def test_induced_matches_trace_loop(make):
     rng = np.random.default_rng(10)
     for n, k in [(1, 1), (3, 1), (1, 4), (2, 2), (4, 3), (3, 6)]:
         u = make(n, k, rng)
         assert u.shape == (n, k, k)
         assert np.max(np.abs(ucrange.induced_correlation(u).matrix - _trace_loop(u))) <= 1e-12
+
+
+@pytest.mark.parametrize("make", _GENERATORS)
+def test_generator_stack_is_successive_draws(make):
+    # a shape + (n, k, k) stack reads the random stream as single draws do
+    for n, k, shape in [(1, 1, (3,)), (3, 2, (4,)), (2, 5, (2, 3)), (4, 3, (1,))]:
+        one_by_one, stacked = np.random.default_rng(60), np.random.default_rng(60)
+        expected = np.stack([make(n, k, one_by_one) for _ in range(int(np.prod(shape)))])
+        u = make(n, k, stacked, shape)
+        assert u.shape == shape + (n, k, k)
+        assert np.array_equal(u, expected.reshape(u.shape))
+        assert stacked.random() == one_by_one.random()
 
 
 def test_induced_disk_pair_matches_trace_loop():
@@ -175,75 +187,91 @@ def test_disk_tuples_hit_requested_values():
             idx += 1
 
 
+def _share(total, parts, j):
+    """Part j of total split into parts that differ by at most one."""
+    return total // parts + (j < total % parts)
+
+
 def _wuc_tuples(n, k_list, samples, rng):
-    """The tuples wuc_inner draws, in its order, one generator call each."""
+    """The tuples wuc_inner draws, in its order, one generator call each:
+    the disk grid, the structured tuples split over the (kind, k) pairs,
+    kind varying fastest, then the Haar tuples split over k_list."""
     tuples = []
     if n == 2:
         g = int(np.ceil(np.sqrt(max(samples // 4, 8) / 4)))
         radii = np.linspace(0.0, 1.0, g + 1)[1:]
         tuples.extend(ucrange.disk_tuples_2x2(radii, np.linspace(0.0, 2.0 * np.pi, 4 * g, endpoint=False)))
-    for j in range(max(samples // 5, 3)):
-        k = k_list[j % len(k_list)]
-        if j % 3 == 0:
-            tuples.append(ucrange.phase_tuple(n, k, rng))
-        elif j % 3 == 1:
-            tuples.append(ucrange.scalar_tuple(n, k, rng))
-        else:
-            tuples.append(ucrange.permutation_tuple(n, max(k, 2), rng))
-    for j in range(max(samples - len(tuples), 0)):
-        tuples.append(ucrange.haar_tuple(n, k_list[j % len(k_list)], rng))
+    n_structured = max(samples // 5, 3)
+    makes = (ucrange.phase_tuple, ucrange.scalar_tuple, ucrange.permutation_tuple)
+    kinds = [(make, k) for k in k_list for make in makes]
+    for j, (make, k) in enumerate(kinds):
+        for _ in range(_share(n_structured, len(kinds), j)):
+            tuples.append(make(n, max(k, 2) if make is ucrange.permutation_tuple else k, rng))
+    n_haar = max(samples - len(tuples), 0)
+    for a, k in enumerate(k_list):
+        for _ in range(_share(n_haar, len(k_list), a)):
+            tuples.append(ucrange.haar_tuple(n, k, rng))
     return tuples
+
+
+def _entries(call):
+    """Entries an induced_correlation call holds: n * max(k^2, n) per tuple,
+    its unitaries or its Gram matrix, whichever is larger."""
+    return sum(c * m * max(k * k, m) for c, m, k, _ in call)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_wuc_inner_matches_per_tuple_reference(n, monkeypatch):
-    # batched validation and chunked Haar draws return each tuple's own
-    # point, in draw order; n = 8 spans many Haar chunks
+    # chunked draws and batched validation return each tuple's own point,
+    # in draw order; n = 8 spans many chunks
     t = matcore.ginibre_random(n, np.random.default_rng(20 + n))
     samples = 2000 if n == 8 else 300
     for k_list in (list(ucrange.DEFAULT_K_LIST), [16, 1], [2, 2, 3]):
-        stacks, original = [], ucrange.induced_correlation
+        calls, original = [], ucrange.induced_correlation
 
         def induced(u):
-            stacks.append([s.shape for s in u])
+            calls.append([s.shape for s in u])
             return original(u)
 
         with monkeypatch.context() as patch:
             patch.setattr(ucrange, "induced_correlation", induced)
             approx = ucrange.wuc_inner(t, k_list, samples, np.random.default_rng(21))
         tuples = _wuc_tuples(n, k_list, samples, np.random.default_rng(21))
-        meta = approx.sample_meta
-        n_grid, n_haar = meta["grid"], meta["haar"]
-        # the disk grid is one stack
-        first = 1 if n_grid else 0
-        assert stacks[:first] == [[(n_grid, 2, 2, 2)]][:first]
-        # structured tuples: runs of consecutive draws, each closed before
-        # the next tuple would take it past the entry bound, one stack per k
-        runs, entries = [[]], 0
-        for u in tuples[n_grid : n_grid + meta["structured"]]:
-            if runs[-1] and entries + u.size > ucrange.BATCH_ENTRIES:
-                runs, entries = runs + [[]], 0
-            runs[-1].append(u.shape[-1])
-            entries += u.size
-        structured = stacks[first : first + len(runs)]
-        assert [sorted((k, c) for c, _, k, _ in call) for call in structured] == [
-            sorted(collections.Counter(run).items()) for run in runs
-        ]
-        # Haar tuples: one call per chunk of whole cycles, one stack per
-        # k_list entry, then one call for the final partial cycle
-        haar = stacks[first + len(runs) :]
-        per_chunk = max(1, ucrange.BATCH_ENTRIES // (n * sum(k * k for k in k_list)))
-        full, rest = divmod(n_haar, len(k_list))
-        assert len(haar) == -(-full // per_chunk) + (rest > 0)
-        assert all([k for _, _, k, _ in call] == k_list[: len(call)] for call in haar)
-        assert all(c <= per_chunk for call in haar for c, _, _, _ in call)
-        assert sum(c for call in haar for c, _, _, _ in call) == n_haar
-        # no call passes the entry bound
-        assert all(sum(c * m * k * k for c, m, k, _ in call) <= ucrange.BATCH_ENTRIES for call in stacks)
+        # the calls hold the tuples in draw order, and each chunk is closed
+        # only when the next tuple would take it past the entry bound
+        assert [k for call in calls for c, _, k, _ in call for _ in range(c)] == [u.shape[-1] for u in tuples]
+        ends = np.cumsum([sum(c for c, _, _, _ in call) for call in calls])
+        for call, end in zip(calls, ends):
+            assert _entries(call) <= ucrange.BATCH_ENTRIES or len(call) == 1 and call[0][0] == 1
+            if end < len(tuples):
+                assert _entries(call) + _entries([(1,) + tuples[end].shape]) > ucrange.BATCH_ENTRIES
         one_by_one = [np.sum(t * ucrange.induced_correlation(u).matrix.T) / n for u in tuples]
         assert np.array_equal(approx.points, one_by_one)
         loop = np.array([np.sum(t * _trace_loop(u).T) / n for u in tuples])
         assert np.max(np.abs(approx.points - loop)) <= 1e-12
+
+
+@pytest.mark.parametrize("k_list", [[1, 2, 3], [2, 4, 8, 16, 32, 64]])
+def test_wuc_structured_tuples_cover_every_kind_and_k(k_list, monkeypatch):
+    # each (kind, k) pair draws its share of the structured tuples, within
+    # one of the others' shares; permutations at k = 1 are drawn at k = 2
+    names = ("phase_tuple", "scalar_tuple", "permutation_tuple")
+    drawn = collections.Counter()
+    for name in names:
+
+        def record(n, k, rng, shape=(), name=name, make=getattr(ucrange, name)):
+            drawn[name, k] += int(np.prod(shape))
+            return make(n, k, rng, shape)
+
+        monkeypatch.setattr(ucrange, name, record)
+    t = matcore.ginibre_random(3, np.random.default_rng(50))
+    approx = ucrange.wuc_inner(t, k_list, 1000, np.random.default_rng(51))
+    drawn_as = [(name, max(k, 2) if name == "permutation_tuple" else k) for k in k_list for name in names]
+    mean = approx.sample_meta["structured"] / len(drawn_as)
+    assert set(drawn) == set(drawn_as)
+    for pair, count in drawn.items():
+        pairs = drawn_as.count(pair)
+        assert abs(count - pairs * mean) < pairs, (pair, count, mean)
 
 
 class _RecordingRng:
@@ -262,22 +290,22 @@ class _RecordingRng:
 
 @pytest.mark.parametrize("n, k_list, samples", [(8, ucrange.DEFAULT_K_LIST, 2000), (3, (2, 2, 3), 500), (5, (64, 1), 12)])
 def test_wuc_inner_draw_size_bounded(n, k_list, samples):
-    # a Haar chunk draws at most BATCH_ENTRIES unitary entries, or one cycle
-    # of k_list when that alone is larger (n = 5 with k = 64)
+    # a piece of a Haar stack draws at most BATCH_ENTRIES complex unitary
+    # entries, or one tuple's when that alone is larger (n = 5 with k = 64)
     t = matcore.ginibre_random(n, np.random.default_rng(30 + n))
     rng = _RecordingRng(31)
     approx = ucrange.wuc_inner(t, k_list, samples, rng)
-    assert max(rng.sizes) <= 2 * max(ucrange.BATCH_ENTRIES, n * sum(k * k for k in k_list))
+    assert max(rng.sizes) <= 2 * max(ucrange.BATCH_ENTRIES, n * max(k_list) ** 2)
     assert len(rng.sizes) > 1
     plain = ucrange.wuc_inner(t, k_list, samples, np.random.default_rng(31))
     assert np.array_equal(approx.points, plain.points)
 
 
-@pytest.mark.parametrize("n, k_list, samples", [(16, (1, 2, 3), 5000), (5, (64, 1), 12)])
+@pytest.mark.parametrize("n, k_list, samples", [(16, (1, 2, 3), 5000), (5, (64, 1), 12), (64, (1,), 200)])
 def test_wuc_inner_validation_bounded(n, k_list, samples, monkeypatch):
-    # every induced_correlation call holds at most BATCH_ENTRIES unitary
-    # entries, unless it is a single structured tuple or one Haar cycle that
-    # alone is larger (n = 5 with k = 64)
+    # every induced_correlation call holds at most BATCH_ENTRIES entries,
+    # counting each tuple's Gram matrix when it is larger than its unitaries
+    # (n = 64 with k = 1), unless it holds one tuple (n = 5 with k = 64)
     calls, original = [], ucrange.induced_correlation
 
     def induced(u):
@@ -289,9 +317,8 @@ def test_wuc_inner_validation_bounded(n, k_list, samples, monkeypatch):
     approx = ucrange.wuc_inner(t, k_list, samples, np.random.default_rng(41))
     assert sum(c for call in calls for c, _, _, _ in call) == len(approx.points)
     for call in calls:
-        ones = all(c == 1 for c, _, _, _ in call)
-        single = ones and (len(call) == 1 or [k for _, _, k, _ in call] == list(k_list))
-        assert sum(c * m * k * k for c, m, k, _ in call) <= ucrange.BATCH_ENTRIES or single, call
+        single = len(call) == 1 and call[0][0] == 1
+        assert _entries(call) <= ucrange.BATCH_ENTRIES or single, call
 
 
 def test_wuc_inner_diagonal_matrix_collapses():

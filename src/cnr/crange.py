@@ -206,68 +206,62 @@ def _rounding_floor(h: np.ndarray) -> float:
 # the masked-sparse input of test_seminorm_centres_slow_levels alike, and 9
 # on support solves at n <= 32); then mu shrinks by PATH_SHRINK.  A step of
 # Newton decrement lam starts at length 1/(1 + lam) if lam > 1/4, else 1,
-# and is halved, at most 40 times, until it stays in the cone and passes an
-# Armijo test of slope fraction 1/4, with a slack of 1e-12 (1 + |merit|) for
-# rounding.
+# and is halved, at most 40 times, until it stays in the cone.
 PATH_TOL = 1e-6
 PATH_STEPS = 100
 PATH_SHRINK = 0.02
 
 
-def _centred_path(cost, slack, newton, x, mu, stop, level=None):
-    """Follow the path of minimizers of cost.x - mu logdet(slack(x)).
+def _inverse_factor(m):
+    """L^-1 for the Cholesky factor L of the Hermitian matrix m, or None if m
+    is not positive definite; numpy factors NaN input into a NaN factor
+    without raising, so a factor that is not finite is refused too."""
+    try:
+        c = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.inv(c) if np.isfinite(c).all() else None
+
+
+def _centred_path(slack, newton, x, mu, stop, level=None):
+    """Follow the path of minimizers of c.x - mu logdet(slack(x)), for a cost
+    c that only newton sees.
 
     slack(x) is a Hermitian matrix, affine in the real vector x; x must make
     it positive definite, else LinAlgError is raised.  newton(w, mu) returns
-    the barrier gradient and the Newton step at the iterate x with
-    w = slack(x)^-1, formed once per accepted step; a LinAlgError from it
-    ends the level.  Its matrix must be the barrier's exact Hessian, so that
-    lam = sqrt(-grad.step / mu) is the step's local norm: the damped step
-    1/(1 + lam) then stays in the Dikin ellipsoid, hence in the cone, and
-    passes the Armijo test, as lam - ln(1 + lam) >= lam^2 / (4 (1 + lam)).
-    After each level, level(slack(x)^-1) is called if given; it must not
-    modify its argument, which the next Newton system reads.  The path ends
-    once stop(mu) holds.  Returns the last centred iterate, which is
-    strictly interior.
+    the gradient and the Newton step at the iterate x with w = slack(x)^-1,
+    formed once per accepted step; a LinAlgError from it ends the level.
+    Its matrix must be the exact Hessian, so that lam = sqrt(-grad.step / mu)
+    is the step's local norm: the damped step 1/(1 + lam) then stays in the
+    Dikin ellipsoid, hence in the cone, and lowers the merit by at least
+    lam - ln(1 + lam) > 0, so no merit is evaluated: a trial step is taken
+    once slack(x) has a finite Cholesky factor.  After each level,
+    level(slack(x)^-1) is called if given; it must not modify its argument,
+    which the next Newton system reads.  The path ends once stop(mu) holds.
+    Returns the last centred iterate, which is strictly interior.
     """
-
-    def factor(x):
-        """Log-det and Cholesky factor of slack(x); (-inf, None) outside the
-        cone, where the merit cost.x - mu logdet is then infinite."""
-        try:
-            c = np.linalg.cholesky(slack(x))
-        except np.linalg.LinAlgError:
-            return -math.inf, None
-        return 2.0 * float(np.sum(np.log(np.diag(c).real))), c
-
-    def inverse(c):
-        g = np.linalg.inv(c)
-        return g.conj().T @ g  # slack^-1 = L^-* L^-1, Hermitian by construction
-
-    logdet, c = factor(x)
-    if c is None:
+    g = _inverse_factor(slack(x))
+    if g is None:
         raise np.linalg.LinAlgError("the path must start inside the cone")
-    w = inverse(c)
+    w = g.conj().T @ g  # slack^-1 = L^-* L^-1, Hermitian by construction
     while True:
-        f = float(cost @ x) - mu * logdet
         for _ in range(PATH_STEPS):
             try:
                 grad, dx = newton(w, mu)
             except np.linalg.LinAlgError:  # Newton system singular at rounding level
                 break
-            slope = float(grad @ dx)
-            lam = math.sqrt(max(-slope / mu, 0.0))
+            decrement = -float(grad @ dx)
+            lam = math.sqrt(max(decrement / mu, 0.0))
             t0 = 1.0 / (1.0 + lam) if lam > 0.25 else 1.0
             for t in (t0 * 0.5**k for k in range(40)):
                 x_new = x + t * dx
-                logdet_new, c_new = factor(x_new)
-                f_new = float(cost @ x_new) - mu * logdet_new
-                if f_new <= f + 0.25 * t * slope + 1e-12 * (1.0 + abs(f)):
+                g = _inverse_factor(slack(x_new))
+                if g is not None:
                     break
             else:
                 break
-            x, f, logdet, w = x_new, f_new, logdet_new, inverse(c_new)
-            if -slope <= PATH_TOL * mu:
+            x, w = x_new, g.conj().T @ g
+            if decrement <= PATH_TOL * mu:
                 break
         if level is not None:
             level(w)
@@ -300,7 +294,7 @@ def polish_dual(h, y0, target, stop_tol):
 
     try:  # strictly interior start: gap exceeds the rounding floor
         return _centred_path(
-            np.full(n, 1.0 / n), lambda y: np.diag(y) - h, newton, y + gap, gap / n,
+            lambda y: np.diag(y) - h, newton, y + gap, gap / n,
             lambda mu: n * mu <= stop_tol / 4.0,
         )
     except np.linalg.LinAlgError:  # rounding put the start outside the cone
@@ -332,15 +326,14 @@ def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> Supp
         y_polished = polish_dual(h, y, value, stop_tol=cfg.tol / 4.0)
         if float(np.mean(y_polished)) < float(np.mean(y)):
             y = y_polished
-        try:  # rows of the unit-diagonal rescaling of (diag(y) - H)^-1 = G* G,
-            # G = L^-1 for the Cholesky factor L; ascent polishes that primal
-            g = np.linalg.inv(np.linalg.cholesky(np.diag(y_polished) - h))
+        # rows of the unit-diagonal rescaling of (diag(y) - H)^-1 = G* G,
+        # G = L^-1 for the Cholesky factor L; ascent polishes that primal
+        g = _inverse_factor(np.diag(y_polished) - h)
+        if g is not None:  # else a warm start on the cone's boundary
             v_polished = _ascend(h, (g / np.linalg.norm(g, axis=0)).conj().T)
             value_polished = float(np.vdot(v_polished, h @ v_polished).real) / n
             if value_polished > value:
                 v, value = v_polished, value_polished
-        except np.linalg.LinAlgError:  # a warm start on the cone's boundary
-            pass
 
     gap = float(np.mean(y)) - value
     return SupportResult(

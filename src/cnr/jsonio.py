@@ -19,7 +19,8 @@ def fmt_float(x: float) -> str:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text: insertion-ordered keys, 17-digit floats."""
+    """Deterministic JSON text: insertion-ordered keys, 17-digit floats.
+    Raises ValueError on a non-finite float, before any text is returned."""
     out: list[str] = []
     _emit(obj, out, 0)
     out.append("\n")
@@ -36,6 +37,8 @@ def _emit(obj, out: list[str], depth: int) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write {float(obj)} as JSON")
         out.append(fmt_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))

@@ -152,7 +152,6 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
             lowers.append(abs(complex(np.sum(y * t.T))) / nuclear)
 
     x = _centred_path(
-        np.eye(2 * n + 1)[0],
         lambda x: _dilation(t - np.diag(diagonal(x)), x[0]),
         newton,
         np.concatenate([[s], d.real, d.imag]),

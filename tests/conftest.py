@@ -12,7 +12,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 def path_counts(monkeypatch):
     """The centred barrier path's work while a test runs: the Newton steps
     of each mu level in order (levels) and the Cholesky factorisations that
-    failed (failed), each a line-search trial outside the cone."""
+    failed (failed), each a trial step outside the cone."""
     from cnr import crange, metrics
 
     counts = types.SimpleNamespace(levels=[], failed=0)
@@ -25,7 +25,7 @@ def path_counts(monkeypatch):
             counts.failed += 1
             raise
 
-    def counted_path(cost, slack, newton, x, mu, stop, level=None):
+    def counted_path(slack, newton, x, mu, stop, level=None):
         mus = []
 
         def counted_newton(w, mu):
@@ -35,7 +35,7 @@ def path_counts(monkeypatch):
             counts.levels[-1] += 1
             return newton(w, mu)
 
-        return centred_path(cost, slack, counted_newton, x, mu, stop, level)
+        return centred_path(slack, counted_newton, x, mu, stop, level)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     monkeypatch.setattr(crange, "_centred_path", counted_path)

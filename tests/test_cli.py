@@ -452,3 +452,20 @@ def test_deterministic_json_float_format():
     text = jsonio.dumps({"x": 0.1, "y": [1.0, 2.5e-17]})
     assert "0.10000000000000001" in text
     assert json.loads(text) == {"x": 0.1, "y": [1.0, 2.5e-17]}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+def test_json_refuses_nonfinite_float(value):
+    with pytest.raises(ValueError, match="as JSON"):
+        jsonio.dumps({"ok": 1.0, "nested": [{"x": value}]})
+
+
+def test_contains_nonfinite_margin_exits_2(tmp_path, e12_file, capsys):
+    # the point is finite, but its margin overflows to -inf
+    out = tmp_path / "c.json"
+    argv = ["contains", "--input", e12_file, "--re", "1.7e308", "--im", "1.7e308", "--out", str(out)]
+    with np.errstate(over="ignore"):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

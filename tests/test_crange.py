@@ -307,6 +307,60 @@ def test_polish_dual_path_stays_in_the_cone(path_counts):
     assert 50 * path_counts.failed < sum(path_counts.levels)
 
 
+def test_sub_precision_polish_halves_steps(path_counts, monkeypatch):
+    # at tol = 1e-16 the path runs to mu far below what its Newton steps
+    # resolve, and some damped steps leave the cone and are halved; the
+    # end point is still strictly interior, and the bracket stays open
+    rng = np.random.default_rng(0)
+    a = matcore.ginibre_random(3, rng)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    polished = []
+    polish_dual = crange.polish_dual
+
+    def recorded(h, *args, **kwargs):
+        y = polish_dual(h, *args, **kwargs)
+        polished.append(np.diag(y) - h)
+        return y
+
+    monkeypatch.setattr(crange, "polish_dual", recorded)
+    res = crange.support_direction(a, theta, crange.SolveConfig(tol=1e-16))
+    assert path_counts.failed > 0
+    assert len(polished) == 1 and np.isfinite(np.linalg.cholesky(polished[0])).all()
+    assert not res.certified
+
+
+@pytest.mark.parametrize("step", ["nan", "singular"])
+def test_centred_path_keeps_start_without_a_step(step):
+    # numpy factors a NaN matrix into a NaN Cholesky factor without raising:
+    # every trial of a NaN step must be refused, as must a singular system
+    def newton(w, mu):
+        if step == "singular":
+            raise np.linalg.LinAlgError("singular")
+        return np.ones(2), np.full(2, np.nan)
+
+    x0 = np.array([1.0, 2.0])
+    x = crange._centred_path(np.diag, newton, x0, 1.0, lambda mu: True)
+    assert np.array_equal(x, x0)
+
+
+def test_centred_path_starts_inside_the_cone():
+    with pytest.raises(np.linalg.LinAlgError, match="inside the cone"):
+        crange._centred_path(np.diag, None, np.array([1.0, -1.0]), 1.0, lambda mu: True)
+
+
+def test_polish_dual_keeps_warm_start_outside_the_cone(monkeypatch):
+    # rounding can put the shifted start outside the cone; the repaired warm
+    # start is then returned
+    def outside(*args):
+        raise np.linalg.LinAlgError("the path must start inside the cone")
+
+    monkeypatch.setattr(crange, "_centred_path", outside)
+    h = crange.rotated_hermitian_part(matcore.ginibre_random(3, np.random.default_rng(1)), 0.3)
+    y0 = np.zeros(3)
+    y = crange.polish_dual(h, y0, -10.0, stop_tol=1e-8)
+    np.testing.assert_array_equal(y, crange.repair_dual(h, y0))
+
+
 def test_large_diagonal_keeps_certificate():
     # diag(H) adds mean(diag H) to every value; its rounding must cost
     # neither the certificate nor accuracy where it dwarfs the rest of H

@@ -38,6 +38,23 @@ def test_eigs_rejects_non_hermitian():
         matcore.hermitian_eigs([[0, 1], [0, 0]])
 
 
+def test_hermitian_test_does_not_overflow():
+    # squared entries of 1e160 overflow, and a Frobenius test of inf <= inf
+    # would pass any such matrix
+    with np.errstate(all="raise"):
+        with pytest.raises(NotHermitianError):
+            matcore.hermitian_eigs([[0, 1e160], [0, 0]])
+        m = matcore.ginibre_random(4, np.random.default_rng(0))
+        huge = (m + m.conj().T) * 2.0**520
+        assert matcore.is_hermitian(huge)
+        assert not matcore.is_hermitian([[0, 1.7e308 + 1.7e308j], [0, 0]])
+        stack = np.stack([huge, huge, huge])
+        stack[1, 0, 1] = 0.0
+        assert matcore.is_hermitian(stack).tolist() == [True, False, True]
+        with pytest.raises(NotHermitianError, match="^stack index 1: "):
+            matcore.hermitian_eigs(stack)
+
+
 def test_eigs_reconstruction_random():
     rng = np.random.default_rng(42)
     for n in _sizes(rng, 100, 1, 9):

@@ -115,13 +115,13 @@ def test_seminorm_level_hook_leaves_slack_inverse(monkeypatch):
     centred_path = metrics._centred_path
     levels = []
 
-    def path(cost, slack, newton, x, mu, stop, level):
+    def path(slack, newton, x, mu, stop, level):
         def checked_level(w):
             before = w.copy()
             level(w)
             levels.append(np.array_equal(w, before))
 
-        return centred_path(cost, slack, newton, x, mu, stop, checked_level)
+        return centred_path(slack, newton, x, mu, stop, checked_level)
 
     monkeypatch.setattr(metrics, "_centred_path", path)
     metrics.correlation_seminorm_full(matcore.ginibre_random(4, np.random.default_rng(0)))

@@ -234,8 +234,8 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
     Its matrix must be the exact Hessian, so that lam = sqrt(-grad.step / mu)
     is the step's local norm: the damped step 1/(1 + lam) then stays in the
     Dikin ellipsoid, hence in the cone, and lowers the merit by at least
-    lam - ln(1 + lam) > 0, so no merit is evaluated: a trial step is taken
-    once slack(x) has a finite Cholesky factor.  After each level,
+    mu (lam - ln(1 + lam)) > 0, so no merit is evaluated: a trial step is
+    taken once slack(x) has a finite Cholesky factor.  After each level,
     level(slack(x)^-1) is called if given; it must not modify its argument,
     which the next Newton system reads.  The path ends once stop(mu) holds.
     Returns the last centred iterate, which is strictly interior.

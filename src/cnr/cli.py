@@ -35,7 +35,6 @@ from .crange import (
     SolveConfig,
     check_directions,
     contains,
-    matrix_hash,
     radius_full,
     range_boundary,
 )
@@ -150,7 +149,7 @@ def _finish(args, result: dict, flags, failed: bool = False) -> int:
     return _emit(args, payload, flags, failed)
 
 
-def _boundary_result(rb) -> dict:
+def _boundary_result(rb, matrix_hash: str) -> dict:
     inner = rb.inner_hull()
     outer = rb.outer_polygon()
     self_ok = all(
@@ -158,7 +157,7 @@ def _boundary_result(rb) -> dict:
     )
     return {
         "n": int(rb.samples[0].dual_y.shape[0]),
-        "matrix_hash": rb.matrix_hash,
+        "matrix_hash": matrix_hash,
         "theta": [s.theta for s in rb.samples],
         "support": [s.value for s in rb.samples],
         "gap": [s.gap for s in rb.samples],
@@ -172,7 +171,8 @@ def _boundary_result(rb) -> dict:
 
 
 def _cmd_range(args) -> int:
-    rb = range_boundary(jsonio.load_matrix(args.input), args.directions, _config(args))
+    a = jsonio.load_matrix(args.input)
+    rb = range_boundary(a, args.directions, _config(args))
     if args.csv:
         jsonio.save_text(
             args.csv, jsonio.boundary_csv(rb.thetas(), rb.supports(), rb.witness_points())
@@ -185,13 +185,13 @@ def _cmd_range(args) -> int:
                 rb.inner_hull(), rb.outer_polygon(), np.column_stack([pts.real, pts.imag])
             ),
         )
-    return _finish(args, _boundary_result(rb), rb.flags())
+    return _finish(args, _boundary_result(rb, jsonio.matrix_hash(a)), rb.flags())
 
 
 def _cmd_radius(args) -> int:
     a = jsonio.load_matrix(args.input)
     value, flags = radius_full(a, args.directions, _config(args))
-    return _finish(args, {"radius": float(value), "matrix_hash": matrix_hash(a)}, flags)
+    return _finish(args, {"radius": float(value), "matrix_hash": jsonio.matrix_hash(a)}, flags)
 
 
 def _cmd_contains(args) -> int:
@@ -209,7 +209,7 @@ def _cmd_contains(args) -> int:
 
 def _cmd_decompose(args) -> int:
     a = jsonio.load_matrix(args.input)
-    result = {"n": int(a.shape[0]), "matrix_hash": matrix_hash(a)}
+    result = {"n": int(a.shape[0]), "matrix_hash": jsonio.matrix_hash(a)}
     try:
         dec = run_decompose(a, _config(args))
     except NotDecomposableError as exc:
@@ -270,7 +270,7 @@ def _cmd_wuc(args) -> int:
             ),
         )
     result = {
-        "matrix_hash": matrix_hash(a),
+        "matrix_hash": jsonio.matrix_hash(a),
         "hull": [[float(x), float(y)] for x, y in approx.hull],
         "points": int(len(approx.points)),
         "sample_meta": approx.sample_meta,
@@ -302,7 +302,7 @@ def _cmd_cnorm(args) -> int:
         "diagonal": [jsonio.complex_obj(x) for x in res.diagonal],
         "lower_bound": float(res.lower),
         "certified": bool(res.agreed),
-        "matrix_hash": matrix_hash(a),
+        "matrix_hash": jsonio.matrix_hash(a),
     }
     return _finish(args, result, [] if res.agreed else ["seminorm_gap_not_closed"])
 

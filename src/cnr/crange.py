@@ -19,7 +19,6 @@ primal.  Solves are deterministic and take no seed.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +27,8 @@ import numpy as np
 
 from . import matcore
 from .elliptope import CorrelationMatrix, GramFactor, gram_to_correlation
-from .errors import RangeNotRealError
+from .errors import CancelledError, RangeNotRealError
+from .geometry import convex_hull, halfplane_polygon
 
 FLAG_GAP = "gap_not_closed"
 IMPROVE_TOL = 1e-13  # ascent plateau: per-sweep gain at or below this
@@ -62,8 +62,6 @@ class SolveConfig:
 
     def check_cancelled(self) -> None:
         if self.cancel is not None and self.cancel():
-            from .errors import CancelledError
-
             raise CancelledError("solve cancelled")
 
 
@@ -108,7 +106,6 @@ class RangeBoundary:
     moves every support value by at most the operator norm of A - A'.
     """
 
-    matrix_hash: str
     samples: list[SupportResult]
     radius: float
 
@@ -128,14 +125,10 @@ class RangeBoundary:
         return tuple(out)
 
     def inner_hull(self) -> np.ndarray:
-        from .geometry import convex_hull
-
         pts = self.witness_points()
         return convex_hull(np.column_stack([pts.real, pts.imag]))
 
     def outer_polygon(self) -> np.ndarray:
-        from .geometry import halfplane_polygon
-
         return halfplane_polygon(self.thetas(), self.supports())
 
 
@@ -147,29 +140,20 @@ class Containment:
     theta_star: float
 
 
-def matrix_hash(a) -> str:
-    m = matcore.as_matrix(a)
-    parts = [f"n={m.shape[0]}"]
-    for x in m.ravel():
-        parts.append(format(x.real, ".17g"))
-        parts.append(format(x.imag, ".17g"))
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
-
-
 def rotated_hermitian_part(a: np.ndarray, theta: float) -> np.ndarray:
     """Re(exp(-i theta) A) as a Hermitian matrix."""
     s, k = matcore.hermitian_parts(a)
     return math.cos(theta) * s + math.sin(theta) * k
 
 
-def _ascend(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _ascend(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
     """Block-coordinate ascent on the Gram rows of B.
 
     Row update: e_i <- c_i / ||c_i|| with c_i the H-weighted sum of the other
     rows; a zero c_i leaves e_i unchanged (any unit vector is then optimal,
     keeping the current one is the deterministic tie-break).  Runs until the
     per-sweep improvement falls to IMPROVE_TOL, at most MAX_SWEEPS sweeps, and
-    returns the rows.
+    returns the rows with their value Re tr(H V V*) / n.
     """
     n = h.shape[0]
     hoff = h.copy()
@@ -185,7 +169,7 @@ def _ascend(h: np.ndarray, v: np.ndarray) -> np.ndarray:
         if val - prev <= IMPROVE_TOL:
             break
         prev = val
-    return v
+    return v, val
 
 
 def repair_dual(h: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -307,7 +291,8 @@ def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> Supp
     One ascent chunk from B = I is checked against its slackness dual; if
     that bracket is open, polish_dual's barrier path tightens the dual, and
     a second ascent chunk from its interior primal tightens the primal.  The
-    result keeps the better primal and the better dual, and is flagged
+    result keeps the better primal, and the polished dual unless the repaired
+    one is lower by more than the rounding floor; it is flagged
     gap_not_closed if they are still more than cfg.tol apart."""
     a = matcore.as_matrix(a)
     n = a.shape[0]
@@ -319,19 +304,19 @@ def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> Supp
     floor = _rounding_floor(h)  # certify a gap of tol only with rounding counted
     cfg.check_cancelled()
 
-    v = _ascend(h, np.eye(n, dtype=np.complex128))
-    value = float(np.vdot(v, h @ v).real) / n
+    v, value = _ascend(h, np.eye(n, dtype=np.complex128))
     y = repair_dual(h, np.sum((h @ v) * v.conj(), axis=1).real)
     if float(np.mean(y)) - value + floor > cfg.tol:
         y_polished = polish_dual(h, y, value, stop_tol=cfg.tol / 4.0)
-        if float(np.mean(y_polished)) < float(np.mean(y)):
+        # the polished dual has a Cholesky factor, the repaired one need not:
+        # keep the repaired one only if it is lower beyond rounding
+        if float(np.mean(y_polished)) < float(np.mean(y)) + floor:
             y = y_polished
         # rows of the unit-diagonal rescaling of (diag(y) - H)^-1 = G* G,
         # G = L^-1 for the Cholesky factor L; ascent polishes that primal
         g = _inverse_factor(np.diag(y_polished) - h)
         if g is not None:  # else a warm start on the cone's boundary
-            v_polished = _ascend(h, (g / np.linalg.norm(g, axis=0)).conj().T)
-            value_polished = float(np.vdot(v_polished, h @ v_polished).real) / n
+            v_polished, value_polished = _ascend(h, (g / np.linalg.norm(g, axis=0)).conj().T)
             if value_polished > value:
                 v, value = v_polished, value_polished
 
@@ -361,7 +346,7 @@ def range_boundary(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> 
     a = matcore.as_matrix(a)
     samples = [support_direction(a, 2.0 * math.pi * k / m, cfg) for k in range(m)]
     radius = max(s.value for s in samples)
-    return RangeBoundary(matrix_hash=matrix_hash(a), samples=samples, radius=radius)
+    return RangeBoundary(samples=samples, radius=radius)
 
 
 def _refine(a, m: int, cfg: SolveConfig, theta0: float, objective):
@@ -413,10 +398,12 @@ def radius(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> float:
 
 def contains(a, point: complex, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> Containment:
     """Membership via supporting half-planes: the point is inside iff
-    Re(exp(-i theta) point) <= h(theta) for every direction."""
+    Re(exp(-i theta) point) <= h(theta) for every direction.  A point whose
+    modulus overflows is rejected before any solve (by math.hypot, which
+    returns inf where abs() raises OverflowError)."""
     point = complex(point)
-    if not np.isfinite(point):
-        raise ValueError(f"point must be finite, got {point}")
+    if not math.isfinite(math.hypot(point.real, point.imag)):
+        raise ValueError(f"point must be finite, with a finite modulus, got {point}")
     a = matcore.as_matrix(a)
     boundary = range_boundary(a, m, cfg)
     values = boundary.supports()

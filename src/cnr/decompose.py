@@ -123,9 +123,8 @@ def decompose(a, cfg: SolveConfig = SolveConfig()) -> Decomposition:
     y = -min(polished, nn.support.dual_y, key=np.mean)
     mean_y = float(np.mean(y))
     p = s - np.diag(y) + mean_y * np.eye(len(y))
-    p = (p + p.conj().T) / 2.0
     d = np.diag(y - mean_y).astype(np.complex128) + 1j * np.diag(np.diag(k))
-    return Decomposition(P=p, D=d, margin=float(np.mean(y)), dual_y=y, flags=nn.flags)
+    return Decomposition(P=p, D=d, margin=mean_y, dual_y=y, flags=nn.flags)
 
 
 def sos_certificate(dec: Decomposition) -> SosCertificate:

@@ -6,6 +6,7 @@ and seeds produce byte-identical output files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -16,6 +17,14 @@ from .errors import DimensionMismatchError, MatrixParseError
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def matrix_hash(a) -> str:
+    """16 hex digits of the SHA-256 of n and the 17-digit real and imaginary
+    parts of the entries, row by row: the input's name in result files."""
+    m = np.ascontiguousarray(a, dtype=np.complex128)
+    parts = [f"n={m.shape[0]}"] + [fmt_float(x) for x in m.view(np.float64).ravel().tolist()]
+    return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 
 
 def dumps(obj) -> str:

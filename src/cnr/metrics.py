@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import geometry, matcore
 from .crange import SolveConfig, _centred_path, radius, range_boundary
 
 SEMINORM_TOL = 1e-6  # bracket width, relative to max |T_ij|
@@ -265,8 +265,6 @@ def direct_sum_check(
     """Compare the range of S1 (+) S2 against the weighted Minkowski
     combination of the block ranges, via support functions on a shared grid
     and the Hausdorff distance of the induced outer polygons."""
-    from . import geometry
-
     s1 = matcore.as_matrix(s1)
     s2 = matcore.as_matrix(s2)
     k1, k2 = s1.shape[0], s2.shape[0]

@@ -461,11 +461,17 @@ def test_json_refuses_nonfinite_float(value):
 
 
 def test_contains_nonfinite_margin_exits_2(tmp_path, e12_file, capsys):
-    # the point is finite, but its margin overflows to -inf
+    # the point is finite, but its modulus and its margin would overflow:
+    # it is rejected before any arithmetic on it
     out = tmp_path / "c.json"
     argv = ["contains", "--input", e12_file, "--re", "1.7e308", "--im", "1.7e308", "--out", str(out)]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="raise"):
         assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: point must be finite") and captured.err.count("\n") == 1
+
+
+def test_matrix_hash_names_the_input():
+    # the value crange.matrix_hash gave before it moved here
+    assert jsonio.matrix_hash([[0, 1], [0, 0]]) == "d3d432343e4fe5c3"

@@ -82,6 +82,23 @@ def test_gap_not_closed_flagging():
     assert res.gap > 1e-16  # still a valid two-sided bracket
 
 
+def test_sub_precision_bracket_keeps_factored_dual():
+    # at tol = 1e-16 the polished dual and the repaired one lie within the
+    # rounding floor; the polished one, which has a Cholesky factor, is kept
+    a = matcore.ginibre_random(8, np.random.default_rng(2))
+    res = crange.support_direction(a, 0.0, crange.SolveConfig(tol=1e-16))
+    assert res.gap >= 0.0
+    np.linalg.cholesky(np.diag(res.dual_y) - crange.rotated_hermitian_part(a, 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_ascend_returns_its_value(n):
+    h = random_hermitian(n, np.random.default_rng(n))
+    np.fill_diagonal(h, 0.0)
+    v, value = crange._ascend(h, np.eye(n, dtype=np.complex128))
+    assert value == float(np.vdot(v, h @ v).real) / n
+
+
 def test_range_boundary_disk_sandwich():
     rb = crange.range_boundary(E12, 64)
     assert np.allclose(rb.supports(), 0.5, atol=1e-9)
@@ -124,9 +141,12 @@ def test_contains():
         assert res.contains and not res.inconclusive
 
 
-@pytest.mark.parametrize("point", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.1, -np.inf)])
+@pytest.mark.parametrize(
+    "point", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.1, -np.inf), complex(1.7e308, 1.7e308)]
+)
 def test_contains_rejects_nonfinite_point(point):
-    # rejected before any support solve: no solve can place such a point
+    # rejected before any support solve: no solve can place such a point,
+    # nor one whose modulus overflows
     cfg = crange.SolveConfig(cancel=lambda: pytest.fail("a support solve ran"))
     with pytest.raises(ValueError, match="point must be finite"):
         crange.contains(E12, point, 8, cfg)

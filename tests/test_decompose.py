@@ -134,6 +134,18 @@ def test_decompose_polishes_open_support_gap(monkeypatch):
     assert verify_certificate(a, sos_certificate(dec)).valid
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_decompose_p_is_exactly_hermitian(n):
+    # the benchmark's split recipe P + D: S - diag(y) + mean(y) I is
+    # Hermitian entry for entry, with no symmetrisation
+    rng = np.random.default_rng(n)
+    z = matcore.ginibre_random(n, rng)
+    d_re, d_im = rng.standard_normal(n), rng.standard_normal(n)
+    a = z @ z.conj().T / n + np.diag(d_re - d_re.mean()) + 1j * np.diag(d_im - d_im.mean())
+    dec = decompose(a)
+    assert np.array_equal(dec.P, dec.P.conj().T)
+
+
 def test_stability_under_small_perturbation():
     rng = np.random.default_rng(4)
     found = 0

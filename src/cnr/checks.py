@@ -35,17 +35,15 @@ class CheckResult:
 
 def _spread_lower_bound(a: np.ndarray) -> tuple[float, float]:
     """Largest off-diagonal pair weight and its aligned support direction."""
-    n = a.shape[0]
-    best, phi = 0.0, 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            w = abs(a[i, j]) + abs(a[j, i])
-            if w > best:
-                best = w
-                phi = (np.angle(a[i, j]) + np.angle(a[j, i])) / 2.0
-    return best, phi
+    # hypot, not np.abs: on some CPUs numpy's vectorised complex abs rounds
+    # differently from hypot, and the check's figures would vary with the CPU
+    m = np.hypot(a.real, a.imag)
+    w = m + m.T
+    np.fill_diagonal(w, 0.0)
+    i, j = np.unravel_index(np.argmax(w), w.shape)  # the first largest pair
+    if not w[i, j] > 0.0:  # no off-diagonal weight (and n = 1): no direction
+        return 0.0, 0.0
+    return w[i, j], (np.angle(a[i, j]) + np.angle(a[j, i])) / 2.0
 
 
 BASIC_DIRECTIONS = 12  # support grid of every boundary in basic_suite

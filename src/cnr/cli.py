@@ -13,7 +13,6 @@ uncertified results under --strict.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -70,9 +69,7 @@ def _int_list(text: str) -> list[int]:
 _SETTINGS = {
     "--directions": dict(type=int, default=DIRECTIONS, help="support grid size"),
     "--tol": dict(type=float, default=SolveConfig.tol, help="certification gap tolerance"),
-    "--seed": dict(
-        type=_checked(int, lambda s: s >= 0, "nonnegative"), help="seed (default: CNR_SEED, else 0)"
-    ),
+    "--seed": dict(type=_checked(int, lambda s: s >= 0, "nonnegative"), default=0, help="seed"),
     "--samples": dict(
         type=int,
         default=ucrange.DEFAULT_SAMPLES,
@@ -109,16 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **{**_OPTIONS[flag], **cmd.overrides.get(flag, {})})
     return ap
-
-
-def _env_seed(args) -> None:
-    """Without --seed: CNR_SEED (read here only), else 0, checked like --seed."""
-    if getattr(args, "seed", 0) is None:
-        text = os.environ.get("CNR_SEED", "0")
-        try:
-            args.seed = _SETTINGS["--seed"]["type"](text)
-        except (argparse.ArgumentTypeError, ValueError):
-            raise ValueError(f"CNR_SEED must be a nonnegative integer, got {text!r}") from None
 
 
 def _config(args) -> SolveConfig:
@@ -310,8 +297,8 @@ def _cmd_cnorm(args) -> int:
 def _cmd_check(args) -> int:
     results = checks.run_suite(args.suite, args.n, args.seed, args.count)
     all_ok = all(r.passed for r in results)
-    for r in results:
-        sys.stdout.write(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n")
+    for r in results:  # stderr: stdout holds only the JSON document
+        sys.stderr.write(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n")
     result = {
         "passed": bool(all_ok),
         "checks": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail} for r in results],
@@ -382,7 +369,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _env_seed(args)
         return _COMMANDS[args.command].run(args)
     except (MatrixParseError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

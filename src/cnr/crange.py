@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matcore
 from .elliptope import CorrelationMatrix, GramFactor, gram_to_correlation
-from .errors import CancelledError, RangeNotRealError
+from .errors import RangeNotRealError
 from .geometry import convex_hull, halfplane_polygon
 
 FLAG_GAP = "gap_not_closed"
@@ -44,25 +44,17 @@ class SolveConfig:
 
     tol is the certification gap tolerance; one that is not positive and
     finite is rejected here, when the setting is made, and the CLI reads its
-    default here.
-    cancel is an optional zero-argument callable polled once per support
-    solve; returning True aborts it with CancelledError (cooperative
-    cancellation for long batch runs).  Nothing reads seed: support solves
-    are deterministic.  It stays only because perfbench/workloads.py still
-    passes it, and goes once ROADMAP item 1 drops that argument.
+    default here.  Nothing reads seed: support solves are deterministic.  It
+    stays only because perfbench/workloads.py still passes it, and goes once
+    ROADMAP item 1 drops that argument.
     """
 
     tol: float = 1e-8
-    cancel: object = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-
-    def check_cancelled(self) -> None:
-        if self.cancel is not None and self.cancel():
-            raise CancelledError("solve cancelled")
 
 
 @dataclass
@@ -302,7 +294,6 @@ def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> Supp
     d = np.diag(h).real
     h = h - np.diag(d)
     floor = _rounding_floor(h)  # certify a gap of tol only with rounding counted
-    cfg.check_cancelled()
 
     v, value = _ascend(h, np.eye(n, dtype=np.complex128))
     y = repair_dual(h, np.sum((h @ v) * v.conj(), axis=1).real)

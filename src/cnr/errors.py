@@ -47,10 +47,6 @@ class NotDecomposableError(CnrError):
         self.margin = margin
 
 
-class CancelledError(CnrError):
-    """A cooperative cancellation token asked a long solve to stop."""
-
-
 class MatrixParseError(CnrError):
     pass
 

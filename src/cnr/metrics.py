@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, matcore
-from .crange import SolveConfig, _centred_path, radius, range_boundary
+from .crange import DIRECTIONS, SolveConfig, _centred_path, radius, range_boundary
 
 SEMINORM_TOL = 1e-6  # bracket width, relative to max |T_ij|
 END_TOL = 5e-9  # the barrier path ends with its first level at mu <= END_TOL * ||T||_F / (8n)
@@ -260,7 +260,7 @@ def kappa_search(
 
 
 def direct_sum_check(
-    s1, s2, cfg: SolveConfig = SolveConfig(), m: int = 64
+    s1, s2, cfg: SolveConfig = SolveConfig(), m: int = DIRECTIONS
 ) -> DirectSumReport:
     """Compare the range of S1 (+) S2 against the weighted Minkowski
     combination of the block ranges, via support functions on a shared grid

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, matcore
-from .crange import RangeBoundary, SolveConfig, range_boundary
+from .crange import DIRECTIONS, RangeBoundary, SolveConfig, range_boundary
 from .elliptope import CorrelationMatrix, validate_correlation
 from .errors import NotUnitaryError, require
 
@@ -234,7 +234,7 @@ def wuc_inner(
 
 
 def compare_ranges(
-    t, approx: WucApproximation, m: int = 128, cfg: SolveConfig = SolveConfig()
+    t, approx: WucApproximation, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()
 ) -> WucComparison:
     """Inclusion margin and coverage deficit of the sampled induced range
     approx against the certified correlation range of T on m directions,

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnr import jsonio, ucrange
+from cnr import jsonio, matcore, ucrange
 from cnr.cli import _build_parser, main
 from cnr.decompose import certificate_from_obj
 from cnr.errors import DimensionMismatchError, MatrixParseError
@@ -178,6 +178,27 @@ def test_decompose_indefinite_exits_nonzero(tmp_path):
     assert payload["result"]["margin"] == pytest.approx(-1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "command,matrix,message",
+    [
+        # the range of [[0, 1], [1, 0]] is [-1, 1]: no certificate exists
+        ("certify", np.array([[0, 1], [1, 0]], dtype=complex),
+         "error: range minimum is certified below zero"),
+        ("decompose", matcore.ginibre_random(3, np.random.default_rng(0)),
+         "error: range is not real"),
+    ],
+    ids=["certify-negative-minimum", "decompose-ginibre"],
+)
+def test_solver_errors_exit_1(tmp_path, capsys, command, matrix, message):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(jsonio.matrix_obj(matrix)))
+    out = tmp_path / "o.json"
+    assert main([command, "--input", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
 def test_wuc_command(tmp_path, e12_file):
     out = tmp_path / "w.json"
     assert main(["wuc", "--input", e12_file, "--samples", "200", "--directions", "32",
@@ -185,6 +206,21 @@ def test_wuc_command(tmp_path, e12_file):
     res = json.loads(out.read_text())["result"]
     assert res["inclusion_margin"] >= -1e-8
     assert res["coverage_deficit"] <= 0.02
+
+
+def test_wuc_svg(tmp_path, e12_file):
+    svgs = []
+    for run in (1, 2):
+        out = tmp_path / f"w{run}.json"
+        svg = tmp_path / f"w{run}.svg"
+        assert main(["wuc", "--input", e12_file, "--samples", "40", "--directions", "8",
+                     "--out", str(out), "--svg", str(svg)]) == 0
+        svgs.append(svg.read_bytes())
+    text = svgs[0].decode()
+    assert text.startswith("<svg")
+    # one dot per sampled point
+    assert text.count("<circle") == json.loads(out.read_text())["result"]["points"]
+    assert svgs[0] == svgs[1]
 
 
 def test_kappa_command(tmp_path):
@@ -209,9 +245,20 @@ def test_check_command(tmp_path, capsys):
     assert main(["check", "--suite", "duality", "--n", "3", "--count", "8",
                  "--seed", "7", "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "[PASS]" in captured.out
+    assert "[PASS]" in captured.err and captured.out == ""
     payload = json.loads(out.read_text())
     assert payload["result"]["passed"] is True
+
+
+def test_check_stdout_is_one_json_document(capsys):
+    # without --out the JSON goes to stdout, alone; the check lines go to stderr
+    assert main(["check", "--suite", "basic", "--n", "2", "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["command"] == "check" and payload["result"]["passed"] is True
+    lines = captured.err.splitlines()
+    assert len(lines) == len(payload["result"]["checks"])
+    assert all(line.startswith("[PASS] ") for line in lines)
 
 
 def test_strict_flags_exit_code(tmp_path):
@@ -312,7 +359,8 @@ def test_check_all_suites_n1(tmp_path, capsys):
     # a 1 x 1 range is one point, real for every matrix: no check may fail on it
     out = tmp_path / "c.json"
     assert main(["check", "--suite", "all", "--n", "1", "--seed", "0", "--out", str(out)]) == 0
-    assert "[FAIL]" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "[PASS]" in captured.err and "[FAIL]" not in captured.err
     assert json.loads(out.read_text())["result"]["passed"] is True
 
 
@@ -428,24 +476,18 @@ def test_readme_commands_parse():
     assert table == OPTIONS
 
 
-def test_seed_env_fallback(tmp_path, e12_file, monkeypatch, capsys):
+@pytest.mark.parametrize("value", ["99", "abc"])
+def test_seed_ignores_environment(tmp_path, e12_file, monkeypatch, value):
+    # --seed defaults to 0; no environment variable reaches a command
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"
     wuc = ["wuc", "--input", e12_file, "--directions", "8", "--samples", "20", "--k-list", "2"]
-    monkeypatch.setenv("CNR_SEED", "99")
+    monkeypatch.setenv("CNR_SEED", value)
     assert main([*wuc, "--out", str(out1)]) == 0
     monkeypatch.delenv("CNR_SEED")
-    assert main([*wuc, "--out", str(out2), "--seed", "99"]) == 0
-    assert json.loads(out1.read_text())["config"]["seed"] == 99
+    assert main([*wuc, "--out", str(out2)]) == 0
+    assert json.loads(out1.read_text())["config"]["seed"] == 0
     assert out1.read_bytes() == out2.read_bytes()
-    capsys.readouterr()
-    for value in ("abc", "-4"):  # validated like a given --seed, never read as 0
-        monkeypatch.setenv("CNR_SEED", value)
-        assert main([*wuc, "--out", str(out1)]) == 2
-        captured = capsys.readouterr()
-        # the one error line names the variable, not the --seed option
-        assert captured.out == ""
-        assert captured.err == f"error: CNR_SEED must be a nonnegative integer, got '{value}'\n"
 
 
 def test_deterministic_json_float_format():

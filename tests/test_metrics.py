@@ -237,3 +237,46 @@ def test_kappa_search_runs_budget_evaluations(monkeypatch, budget):
     monkeypatch.setattr(metrics, "radius", lambda t, m, cfg: calls.append(t) or 1.0)
     metrics.kappa_search(3, budget=budget, rng=np.random.default_rng(0))
     assert len(calls) == budget
+
+
+# The ratio each evaluation of kappa_search(3, budget=len(ratios)) reports:
+# the sparse witness, then (at budget 9) two starts, evaluations 1 and 5,
+# with three local steps each.  None marks a zero seminorm.  best is the
+# evaluation that must win.
+KAPPA_SCRIPTS = {
+    "start-wins": ([0.34, 0.08, 0.2, 0.3, 0.09, 0.5, 0.6, 0.7, 0.8], 1),
+    "step-below-bound": ([0.34, 0.2, 0.3, 0.05, 0.25, 0.5, 0.6, 0.7, 0.8], 3),
+    # from an infinite ratio the first step is taken, though it is not best
+    "zero-seminorm-start": ([0.34, 0.2, 0.3, 0.25, 0.4, None, 0.6, 0.1, 0.15], 7),
+    "zero-seminorm-witness": ([None], 0),
+}
+
+
+@pytest.mark.parametrize("name", list(KAPPA_SCRIPTS))
+def test_kappa_search_keeps_best_ratio(monkeypatch, name):
+    ratios, best = KAPPA_SCRIPTS[name]
+    d = np.array([0.5, -0.25j, -0.5 + 0.25j])
+    seen, radii = [], []
+
+    def seminorm(t):
+        seen.append(t)
+        value = 0.0 if ratios[len(seen) - 1] is None else 2.0
+        return metrics.SeminormResult(value, d, True, value)
+
+    def fake_radius(t, m, cfg):
+        radii.append(t)
+        return ratios[len(seen) - 1]
+
+    monkeypatch.setattr(metrics, "correlation_seminorm_full", seminorm)
+    monkeypatch.setattr(metrics, "radius", fake_radius)
+    est = metrics.kappa_search(3, budget=len(ratios), rng=np.random.default_rng(0))
+    assert len(seen) == len(ratios)
+    assert len(radii) == len(ratios) - ratios.count(None)  # no radius of a zero seminorm
+    if ratios[best] is None:  # an infinite ratio keeps its matrix as given
+        assert est.best_ratio == np.inf
+        assert np.array_equal(est.witness, seen[best])
+    else:
+        assert est.best_ratio == ratios[best]
+        assert np.array_equal(est.witness, (seen[best] - np.diag(d)) / 2.0)
+    below = "ratio_below_proven_lower_bound" in est.flags
+    assert below == (est.best_ratio < 1.0 / 14.0)

@@ -11,10 +11,18 @@ an SDP over the elliptope.  Each solve returns two-sided bounds: the feasible
 maximizer B gives the attained value (lower bound), and a real diagonal y
 with diag(y) - H PSD gives the upper bound mean(y).  Each solve runs one
 chunk of block-coordinate ascent on a unit-vector Gram factor of B, from
-B = I, against its slackness dual; an open bracket goes to a centred log-det
-barrier path on the dual (polish_dual, on the path routine _centred_path
-that the seminorm also follows), whose interior end point also yields a
-primal.  Solves are deterministic and take no seed.
+B = I or from a nearby direction's maximizer, against its slackness dual;
+an open bracket goes to a centred log-det barrier path on the dual
+(polish_dual, on the path routine _centred_path that the seminorm also
+follows), whose interior end point also yields a primal.  Solves are
+deterministic and take no seed.
+
+Neighbouring directions are nearby SDPs, so the grid and the golden-section
+refinement chain their solves: each ascent starts from the Gram rows of the
+previous direction's maximizer instead of B = I.  A row update keeps the
+rows in the span of the current ones, so a rank-deficient start can stall
+the ascent; the bracket it leaves open goes to polish_dual as above.  A
+grid's samples thus depend on the order of its solves, which is fixed.
 """
 
 from __future__ import annotations
@@ -277,10 +285,14 @@ def polish_dual(h, y0, target, stop_tol):
         return y
 
 
-def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> SupportResult:
+def support_direction(
+    a, theta: float, cfg: SolveConfig = SolveConfig(), *, start: SupportResult | None = None
+) -> SupportResult:
     """Certified support value of the range of A in direction theta.
 
-    One ascent chunk from B = I is checked against its slackness dual; if
+    One ascent chunk is checked against its slackness dual; it starts from
+    B = I or, if start (the solve of a nearby direction) is given, from a
+    copy of start's Gram rows, which must be n x n, else ValueError.  If
     that bracket is open, polish_dual's barrier path tightens the dual, and
     a second ascent chunk from its interior primal tightens the primal.  The
     result keeps the better primal, and the polished dual unless the repaired
@@ -288,6 +300,12 @@ def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> Supp
     gap_not_closed if they are still more than cfg.tol apart."""
     a = matcore.as_matrix(a)
     n = a.shape[0]
+    if start is None:
+        v0 = np.eye(n, dtype=np.complex128)
+    elif start.maximizer.vectors.shape == (n, n):
+        v0 = np.array(start.maximizer.vectors, dtype=np.complex128)  # _ascend writes its rows
+    else:
+        raise ValueError(f"start's maximizer must be {n} x {n}, got shape {start.maximizer.vectors.shape}")
     h = rotated_hermitian_part(a, theta)
     # B's unit diagonal makes diag(H) add mean(d) to every value; solving
     # without it keeps its rounding out of diag(y) - H and of the gap
@@ -295,7 +313,7 @@ def support_direction(a, theta: float, cfg: SolveConfig = SolveConfig()) -> Supp
     h = h - np.diag(d)
     floor = _rounding_floor(h)  # certify a gap of tol only with rounding counted
 
-    v, value = _ascend(h, np.eye(n, dtype=np.complex128))
+    v, value = _ascend(h, v0)
     y = repair_dual(h, np.sum((h @ v) * v.conj(), axis=1).real)
     if float(np.mean(y)) - value + floor > cfg.tol:
         y_polished = polish_dual(h, y, value, stop_tol=cfg.tol / 4.0)
@@ -332,30 +350,37 @@ def check_directions(m: int) -> None:
 
 def range_boundary(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> RangeBoundary:
     """Support solves at theta_k = 2 pi k / m; the hull of the witness points
-    and the intersection of the supporting half-planes sandwich the range."""
+    and the intersection of the supporting half-planes sandwich the range.
+    Direction 0 starts from B = I, each later one from the sample before."""
     check_directions(m)
     a = matcore.as_matrix(a)
-    samples = [support_direction(a, 2.0 * math.pi * k / m, cfg) for k in range(m)]
+    samples = [support_direction(a, 0.0, cfg)]
+    for k in range(1, m):
+        samples.append(support_direction(a, 2.0 * math.pi * k / m, cfg, start=samples[-1]))
     radius = max(s.value for s in samples)
     return RangeBoundary(samples=samples, radius=radius)
 
 
-def _refine(a, m: int, cfg: SolveConfig, theta0: float, objective):
-    """Golden-section maximum of objective(theta, h(theta)) over theta0 +- 2 pi/m,
-    h the support function, to within 1e-6 in theta.  Returns (theta,
-    objective value, flags); the flags of its support solves are indexed
-    m + 1, m + 2, ..., after the m grid directions."""
+def _refine(a, m: int, cfg: SolveConfig, sample: SupportResult, objective):
+    """Golden-section maximum of objective(theta, h(theta)) over
+    sample.theta +- 2 pi/m, h the support function, to within 1e-6 in theta;
+    sample is the grid's solve at that centre.  The first solve starts from
+    sample, each later one from the solve before.  Returns (theta, objective
+    value, flags); the flags of its support solves are indexed m + 1, m + 2,
+    ..., after the m grid directions."""
     index = itertools.count(m + 1)
     flags: list[str] = []
+    last = sample
 
     def f(theta: float) -> float:
+        nonlocal last
         k = next(index)
-        res = support_direction(a, theta, cfg)
-        flags.extend(f"{flag}@{k}" for flag in res.flags)
-        return objective(theta, res.value)
+        last = support_direction(a, theta, cfg, start=last)
+        flags.extend(f"{flag}@{k}" for flag in last.flags)
+        return objective(theta, last.value)
 
     step = 2.0 * math.pi / m
-    lo, hi = theta0 - step, theta0 + step
+    lo, hi = sample.theta - step, sample.theta + step
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
@@ -379,7 +404,7 @@ def radius_full(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> tup
     boundary = range_boundary(a, m, cfg)
     values = boundary.supports()
     k = int(np.argmax(values))
-    _, refined, flags = _refine(a, m, cfg, boundary.samples[k].theta, lambda t, h: h)
+    _, refined, flags = _refine(a, m, cfg, boundary.samples[k], lambda t, h: h)
     return max(float(values[k]), float(refined)), boundary.flags() + flags
 
 
@@ -402,7 +427,7 @@ def contains(a, point: complex, m: int = DIRECTIONS, cfg: SolveConfig = SolveCon
     margins = values - (np.cos(thetas) * point.real + np.sin(thetas) * point.imag)
     k = int(np.argmin(margins))
     theta_star, neg, _ = _refine(
-        a, m, cfg, thetas[k], lambda t, h: math.cos(t) * point.real + math.sin(t) * point.imag - h
+        a, m, cfg, boundary.samples[k], lambda t, h: math.cos(t) * point.real + math.sin(t) * point.imag - h
     )
     margin = min(float(margins[k]), float(-neg))
     uncertified = [s.gap for s in boundary.samples if not s.certified]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cnr import crange, matcore
-from cnr.elliptope import validate_correlation
+from cnr.elliptope import GramFactor, validate_correlation
 from cnr.errors import RangeNotRealError
 from oracles import random_hermitian, support_2x2_closed, support_2x2_grid
 
@@ -149,7 +149,7 @@ def test_contains():
 def test_contains_rejects_nonfinite_point(monkeypatch, point):
     # rejected before any support solve: no solve can place such a point,
     # nor one whose modulus overflows
-    monkeypatch.setattr(crange, "support_direction", lambda *args: pytest.fail("a support solve ran"))
+    monkeypatch.setattr(crange, "support_direction", lambda *args, **kwargs: pytest.fail("a support solve ran"))
     with pytest.raises(ValueError, match="point must be finite"):
         crange.contains(E12, point, 8)
 
@@ -381,3 +381,130 @@ def test_large_diagonal_keeps_certificate():
         res = crange.support_direction(a + 1e6 * np.eye(8), th, cfg)
         assert base.certified and res.certified
         assert res.value == pytest.approx(base.value + 1e6 * np.cos(th), abs=1e-8)
+
+
+def _assert_same_solve(r, s):
+    assert (r.theta, r.value, r.witness_point, r.gap, r.flags) == (s.theta, s.value, s.witness_point, s.gap, s.flags)
+    np.testing.assert_array_equal(r.maximizer.vectors, s.maximizer.vectors)
+    np.testing.assert_array_equal(r.dual_y, s.dual_y)
+
+
+@pytest.mark.parametrize("op", [0, 6])
+def test_grid_chains_its_solves(op):
+    # direction 0 is cold; each later direction starts from the sample
+    # before, which the solve leaves as it was
+    a = _boundary_input(1, op)
+    cfg = crange.SolveConfig()
+    rb = crange.range_boundary(a, 32, cfg)
+    _assert_same_solve(rb.samples[0], crange.support_direction(a, 0.0))
+    for k in range(1, 32):
+        theta = 2.0 * np.pi * k / 32
+        _assert_same_solve(rb.samples[k], crange.support_direction(a, theta, cfg, start=rb.samples[k - 1]))
+
+
+def test_grid_samples_keep_their_own_maximizers():
+    # each value is Re tr(H V V*) / n of its own maximizer, as the benchmark
+    # checker recomputes it: no later solve wrote into an earlier one's rows
+    for op in range(6):
+        a = _boundary_input(1, op)
+        n = a.shape[0]
+        for s in crange.range_boundary(a, 32).samples:
+            v = s.maximizer.vectors
+            h = crange.rotated_hermitian_part(a, s.theta)
+            assert s.value == pytest.approx(float(np.trace(h @ v @ v.conj().T).real) / n, abs=1e-12)
+
+
+def test_start_must_match_the_size(monkeypatch):
+    a = _boundary_input(1, 1)  # 4 x 4
+    small = crange.support_direction(_boundary_input(1, 0), 0.0)  # 3 x 3
+    v = crange.support_direction(a, 0.0).maximizer.vectors
+    narrow = dataclasses.replace(small, maximizer=GramFactor(v[:, :3]))
+    monkeypatch.setattr(crange, "_ascend", lambda *args: pytest.fail("a solve ran"))
+    for start in (small, narrow):
+        with pytest.raises(ValueError, match="start's maximizer must be 4 x 4"):
+            crange.support_direction(a, 0.1, start=start)
+
+
+def test_grid_certifies_no_wider_than_cold_solves():
+    for seed in (1, 2):
+        warm = cold = 0.0
+        for op in range(30):
+            a = _boundary_input(seed, op)
+            rb = crange.range_boundary(a, 32)
+            assert not rb.flags()
+            warm = max(warm, max(s.gap for s in rb.samples))
+            cold = max(cold, max(crange.support_direction(a, s.theta).gap for s in rb.samples))
+        assert warm <= cold
+
+
+def test_stalled_warm_start_certifies_through_polish(monkeypatch):
+    # seed 1, op 6: the maximizer of direction 12 has rank 1, and row updates
+    # keep the rows in its span, so the ascent of direction 13 from it stalls;
+    # polish_dual closes that bracket, where the cold ascent closes its own
+    a = _boundary_input(1, 6)
+    start = crange.range_boundary(a, 32).samples[12]
+    assert np.linalg.matrix_rank(start.maximizer.vectors, tol=1e-8) == 1
+    polished = []
+    polish = crange.polish_dual
+    monkeypatch.setattr(crange, "polish_dual", lambda *args, **kwargs: polished.append(1) or polish(*args, **kwargs))
+    theta = 2.0 * np.pi * 13 / 32
+    assert crange.support_direction(a, theta).certified and not polished
+    assert crange.support_direction(a, theta, start=start).certified and len(polished) == 1
+
+
+def test_warm_grid_does_less_ascent_work(monkeypatch):
+    # np.vdot runs once per row update and once per sweep of the ascent (and
+    # once per witness point): a count of its work that no clock moves
+    calls = []
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda *args: calls.append(1) or vdot(*args))
+    warm = cold = 0
+    for op in range(6):
+        a = _boundary_input(1, op)
+        calls.clear()
+        crange.range_boundary(a, 32)
+        warm += len(calls)
+        calls.clear()
+        for k in range(32):
+            crange.support_direction(a, 2.0 * np.pi * k / 32)
+        cold += len(calls)
+    assert warm <= 0.75 * cold
+
+
+def test_refinement_chains_from_the_grid_sample(monkeypatch):
+    a = matcore.ginibre_random(4, np.random.default_rng(5))
+    rb = crange.range_boundary(a, 16)
+    sample = rb.samples[int(np.argmax(rb.supports()))]
+    starts, results = [], []
+    solve = crange.support_direction
+
+    def recorded(a, theta, cfg, *, start=None):
+        starts.append(start)
+        results.append(solve(a, theta, cfg, start=start))
+        return results[-1]
+
+    monkeypatch.setattr(crange, "support_direction", recorded)
+    crange._refine(a, 16, crange.SolveConfig(), sample, lambda t, h: h)
+    assert len(starts) > 2 and starts[0] is sample
+    assert all(s is r for s, r in zip(starts[1:], results))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_warm_refinement_matches_cold(monkeypatch, n):
+    # radius_full's and contains' golden sections reach the same objective
+    # value from warm and from cold solves
+    a = matcore.ginibre_random(n, np.random.default_rng(5))
+    rb = crange.range_boundary(a, 64)
+    point = complex(0.1, -0.2)
+    thetas = rb.thetas()
+    margins = rb.supports() - (np.cos(thetas) * point.real + np.sin(thetas) * point.imag)
+    cases = [
+        (rb.samples[int(np.argmax(rb.supports()))], lambda t, h: h),
+        (rb.samples[int(np.argmin(margins))], lambda t, h: np.cos(t) * point.real + np.sin(t) * point.imag - h),
+    ]
+    warm = [crange._refine(a, 64, crange.SolveConfig(), *case) for case in cases]
+    solve = crange.support_direction
+    monkeypatch.setattr(crange, "support_direction", lambda a, theta, cfg, *, start=None: solve(a, theta, cfg))
+    cold = [crange._refine(a, 64, crange.SolveConfig(), *case) for case in cases]
+    for (_, w, w_flags), (_, c, c_flags) in zip(warm, cold):
+        assert w == pytest.approx(c, rel=1e-12, abs=1e-12) and w_flags == c_flags == ()

@@ -38,7 +38,6 @@ from .crange import (
     range_boundary,
 )
 from .errors import CnrError, MatrixParseError, NotDecomposableError
-from .geometry import polygon_support
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -139,9 +138,6 @@ def _finish(args, result: dict, flags, failed: bool = False) -> int:
 def _boundary_result(rb, matrix_hash: str) -> dict:
     inner = rb.inner_hull()
     outer = rb.outer_polygon()
-    self_ok = all(
-        polygon_support(inner, s.theta) <= s.value + 1e-9 for s in rb.samples
-    )
     return {
         "n": int(rb.samples[0].dual_y.shape[0]),
         "matrix_hash": matrix_hash,
@@ -153,7 +149,7 @@ def _boundary_result(rb, matrix_hash: str) -> dict:
         "inner_hull": [[float(x), float(y)] for x, y in inner],
         "outer_polygon": [[float(x), float(y)] for x, y in outer],
         "radius_grid": float(rb.radius),
-        "outer_contains_inner": bool(self_ok),
+        "outer_contains_inner": rb.margin(inner[:, 0] + 1j * inner[:, 1]) >= -1e-9,
     }
 
 
@@ -191,7 +187,7 @@ def _cmd_contains(args) -> int:
         "inconclusive": bool(res.inconclusive),
         "theta_star": float(res.theta_star),
     }
-    return _finish(args, result, ["inconclusive"] if res.inconclusive else [])
+    return _finish(args, result, [*res.flags, *(["inconclusive"] if res.inconclusive else [])])
 
 
 def _cmd_decompose(args) -> int:

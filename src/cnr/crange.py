@@ -27,7 +27,6 @@ grid's samples thus depend on the order of its solves, which is fixed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,10 +118,14 @@ class RangeBoundary:
         return np.array([s.witness_point for s in self.samples])
 
     def flags(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for k, s in enumerate(self.samples):
-            out.extend(f"{f}@{k}" for f in s.flags)
-        return tuple(out)
+        return _indexed_flags(self.samples)
+
+    def margin(self, points) -> float:
+        """Least slack h(theta_k) - Re(exp(-i theta_k) z) over the grid and
+        the complex points z: negative if a point is outside a half-plane."""
+        thetas, points = self.thetas(), np.asarray(points, dtype=np.complex128)
+        proj = np.cos(thetas)[:, None] * points.real + np.sin(thetas)[:, None] * points.imag
+        return float(np.min(self.supports()[:, None] - proj))
 
     def inner_hull(self) -> np.ndarray:
         pts = self.witness_points()
@@ -132,12 +135,18 @@ class RangeBoundary:
         return halfplane_polygon(self.thetas(), self.supports())
 
 
+def _indexed_flags(solves, first: int = 0) -> tuple[str, ...]:
+    """Each flag of each solve as flag@k, k the solve's index from first."""
+    return tuple(f"{flag}@{k}" for k, s in enumerate(solves, first) for flag in s.flags)
+
+
 @dataclass
 class Containment:
     contains: bool
     margin: float
     inconclusive: bool
     theta_star: float
+    flags: tuple[str, ...]
 
 
 def rotated_hermitian_part(a: np.ndarray, theta: float) -> np.ndarray:
@@ -361,23 +370,23 @@ def range_boundary(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> 
     return RangeBoundary(samples=samples, radius=radius)
 
 
-def _refine(a, m: int, cfg: SolveConfig, sample: SupportResult, objective):
-    """Golden-section maximum of objective(theta, h(theta)) over
-    sample.theta +- 2 pi/m, h the support function, to within 1e-6 in theta;
-    sample is the grid's solve at that centre.  The first solve starts from
-    sample, each later one from the solve before.  Returns (theta, objective
-    value, flags); the flags of its support solves are indexed m + 1, m + 2,
-    ..., after the m grid directions."""
-    index = itertools.count(m + 1)
-    flags: list[str] = []
-    last = sample
+def _refine(a, m: int, cfg: SolveConfig, boundary: RangeBoundary, objective):
+    """Maximum of objective(theta, h(theta)), h the support function, over
+    the m-direction grid boundary, refined by golden section over theta_k
+    +- 2 pi/m to within 1e-6 in theta, k the first best grid sample; the
+    first refinement solve starts from sample k, each later one from the one
+    before.  Returns (theta, value, solves, flags): the final bracket's
+    centre, the best of sample k's and the bracket's scores, the grid samples
+    then the refinement's, and all their flags, the refinement's indexed
+    m + 1, m + 2, ..., after the m grid directions."""
+    scores = [objective(s.theta, s.value) for s in boundary.samples]
+    best = max(scores)
+    sample = boundary.samples[scores.index(best)]
+    refined: list[SupportResult] = []
 
     def f(theta: float) -> float:
-        nonlocal last
-        k = next(index)
-        last = support_direction(a, theta, cfg, start=last)
-        flags.extend(f"{flag}@{k}" for flag in last.flags)
-        return objective(theta, last.value)
+        refined.append(support_direction(a, theta, cfg, start=refined[-1] if refined else sample))
+        return objective(theta, refined[-1].value)
 
     step = 2.0 * math.pi / m
     lo, hi = sample.theta - step, sample.theta + step
@@ -393,19 +402,17 @@ def _refine(a, m: int, cfg: SolveConfig, sample: SupportResult, objective):
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
             f1 = f(x1)
-    return (lo + hi) / 2.0, max(f1, f2), tuple(flags)
+    flags = boundary.flags() + _indexed_flags(refined, m + 1)
+    return (lo + hi) / 2.0, max(best, f1, f2), boundary.samples + refined, flags
 
 
 def radius_full(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> tuple[float, tuple[str, ...]]:
-    """Largest modulus over the range: grid maximum of the support values,
-    refined by golden section near the argmax.  Returns the radius and the
-    flags of every support solve it ran, grid and refinement."""
+    """Largest modulus over the range: the largest support value on the
+    grid, refined by _refine's golden section around it.  Returns the radius
+    and the flags of every support solve it ran, grid and refinement."""
     a = matcore.as_matrix(a)
-    boundary = range_boundary(a, m, cfg)
-    values = boundary.supports()
-    k = int(np.argmax(values))
-    _, refined, flags = _refine(a, m, cfg, boundary.samples[k], lambda t, h: h)
-    return max(float(values[k]), float(refined)), boundary.flags() + flags
+    _, value, _, flags = _refine(a, m, cfg, range_boundary(a, m, cfg), lambda t, h: h)
+    return value, flags
 
 
 def radius(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> float:
@@ -413,31 +420,26 @@ def radius(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> float:
 
 
 def contains(a, point: complex, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> Containment:
-    """Membership via supporting half-planes: the point is inside iff
-    Re(exp(-i theta) point) <= h(theta) for every direction.  A point whose
-    modulus overflows is rejected before any solve (by math.hypot, which
-    returns inf where abs() raises OverflowError)."""
+    """Membership via supporting half-planes: the margin is the least slack
+    h(theta) - Re(exp(-i theta) point), found by _refine at theta_star, and
+    the point is inside iff it is >= -1e-9.  flags are those of every solve,
+    and the verdict is inconclusive if one of them is open with a gap above
+    |margin|.  A point whose modulus overflows is rejected before any solve
+    (by math.hypot, which returns inf where abs() raises OverflowError)."""
     point = complex(point)
     if not math.isfinite(math.hypot(point.real, point.imag)):
         raise ValueError(f"point must be finite, with a finite modulus, got {point}")
     a = matcore.as_matrix(a)
-    boundary = range_boundary(a, m, cfg)
-    values = boundary.supports()
-    thetas = boundary.thetas()
-    margins = values - (np.cos(thetas) * point.real + np.sin(thetas) * point.imag)
-    k = int(np.argmin(margins))
-    theta_star, neg, _ = _refine(
-        a, m, cfg, boundary.samples[k], lambda t, h: math.cos(t) * point.real + math.sin(t) * point.imag - h
+    theta_star, neg, solves, flags = _refine(
+        a, m, cfg, range_boundary(a, m, cfg), lambda t, h: math.cos(t) * point.real + math.sin(t) * point.imag - h
     )
-    margin = min(float(margins[k]), float(-neg))
-    uncertified = [s.gap for s in boundary.samples if not s.certified]
-    gap_bound = max(uncertified) if uncertified else 0.0
-    inconclusive = bool(uncertified) and abs(margin) < gap_bound
+    margin = 0.0 - neg  # +0.0, not -0.0, on the boundary, as h - Re(...) gives it
     return Containment(
         contains=margin >= -1e-9,
         margin=margin,
-        inconclusive=inconclusive,
+        inconclusive=any(not s.certified and s.gap > abs(margin) for s in solves),
         theta_star=float(theta_star),
+        flags=flags,
     )
 
 

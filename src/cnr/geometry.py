@@ -115,8 +115,3 @@ def hausdorff(poly_a, poly_b) -> float:
     """
     return max(directed_hausdorff(poly_a, poly_b), directed_hausdorff(poly_b, poly_a))
 
-
-def polygon_support(poly, theta) -> float:
-    """Support value max Re(exp(-i theta) z) over the polygon vertices."""
-    poly = np.asarray(poly, dtype=float).reshape(-1, 2)
-    return float(np.max(np.cos(theta) * poly[:, 0] + np.sin(theta) * poly[:, 1]))

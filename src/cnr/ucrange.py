@@ -240,15 +240,12 @@ def compare_ranges(
     approx against the certified correlation range of T on m directions,
     which is returned as boundary.
 
-    inclusion_margin is the smallest slack of any sampled point against any
-    certified supporting half-plane (>= -1e-8 expected always).  deficit is
-    the directed Hausdorff distance from the correlation-range inner polygon
-    to the sampled hull: a convergence diagnostic for n <= 3 (where the two
-    ranges agree), a plain coverage report otherwise.
+    inclusion_margin is boundary.margin of the sampled points (>= -1e-8
+    expected always).  deficit is the directed Hausdorff distance from the
+    correlation-range inner polygon to the sampled hull: a convergence
+    diagnostic for n <= 3 (where the two ranges agree), a plain coverage
+    report otherwise.
     """
     boundary = range_boundary(matcore.as_matrix(t), m, cfg)
-    thetas, points = boundary.thetas(), approx.points
-    proj = np.cos(thetas)[:, None] * points.real + np.sin(thetas)[:, None] * points.imag
-    inclusion = float(np.min(boundary.supports()[:, None] - proj))
     deficit = geometry.directed_hausdorff(boundary.inner_hull(), approx.hull)
-    return WucComparison(inclusion_margin=inclusion, deficit=float(deficit), boundary=boundary)
+    return WucComparison(inclusion_margin=boundary.margin(approx.points), deficit=float(deficit), boundary=boundary)

@@ -279,6 +279,23 @@ def test_strict_flags_exit_code(tmp_path):
     assert {0, 1, 2, 3} <= ks and 4 not in ks and max(ks) > 4
 
 
+def test_contains_strict_reports_open_solves(tmp_path):
+    # contains reports the flags of every solve, grid and refinement; at
+    # entries of order 2^520 the solves stay open and --strict exits 3
+    a = np.random.default_rng(4).standard_normal((4, 4, 2)) @ [1.0, 1j]
+    out = tmp_path / "c.json"
+    for scale, code in ((1.0, 0), (2.0**520, 3)):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(jsonio.matrix_obj(a * scale)))
+        argv = ["contains", "--input", str(path), "--re", "0.1", "--im", "-0.2", "--directions", "8"]
+        assert main([*argv, "--out", str(out), "--strict"]) == code
+        payload = json.loads(out.read_text(), parse_constant=pytest.fail)
+        ks = {int(f.split("@")[1]) for f in payload["flags"] if f.startswith("gap_not_closed@")}
+        assert bool(ks) == (code == 3)
+    # the refinement's solves, indexed from m + 1 = 9 on, are among them
+    assert max(ks) > 8 and "inconclusive" in payload["flags"]
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert main(["range", "--input", str(tmp_path / "missing.json"), "--out", "x"]) == 2
     assert main(["nonsense"]) == 2
@@ -353,6 +370,29 @@ def test_rejected_settings_exit_2(e12_file, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {name} ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--suite", "nope"], "unknown suite 'nope'"),
+        (["wuc", "--input", "E12", "--samples", "0"], "samples must be positive"),
+        (["kappa", "--n", "1"], "n must be at least 2"),
+        (["range", "--input", "N0"], "field 'n' must be positive"),
+    ],
+    ids=["check-suite", "wuc-samples-0", "kappa-n-1", "matrix-n-0"],
+)
+def test_input_checks_exit_2(tmp_path, e12_file, capsys, argv, message):
+    # the library's input checks end the command in one error line, before
+    # any output is written
+    n0 = tmp_path / "n0.json"
+    n0.write_text(json.dumps({"n": 0, "rows": []}))
+    out = tmp_path / "o.json"
+    argv = [{"E12": e12_file, "N0": str(n0)}.get(word, word) for word in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and message in captured.err and captured.err.count("\n") == 1
 
 
 def test_check_all_suites_n1(tmp_path, capsys):

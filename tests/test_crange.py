@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cnr import crange, matcore
+from cnr import crange, matcore, ucrange
 from cnr.elliptope import GramFactor, validate_correlation
 from cnr.errors import RangeNotRealError
 from oracles import random_hermitian, support_2x2_closed, support_2x2_grid
@@ -141,6 +141,34 @@ def test_contains():
         a = matcore.ginibre_random(3, rng)
         res = crange.contains(a, matcore.normalized_trace(a), 32)
         assert res.contains and not res.inconclusive
+
+
+def test_contains_accounts_for_refinement_solves():
+    # the point is a grid witness, so the margin is at rounding level; every
+    # grid solve certifies at tol = 1e-12, but refinement solve 34 stays open
+    # with a gap of about 2e-8, which leaves the verdict inconclusive
+    rng = np.random.default_rng(10)
+    n = int(rng.integers(3, 9))
+    a = matcore.ginibre_random(n, rng)
+    cfg = crange.SolveConfig(tol=1e-12)
+    rb = crange.range_boundary(a, 32, cfg)
+    assert rb.flags() == ()
+    res = crange.contains(a, rb.samples[int(rng.integers(32))].witness_point, 32, cfg)
+    assert abs(res.margin) < 1e-12
+    assert res.inconclusive
+    assert res.flags == ("gap_not_closed@34",)
+
+
+def test_boundary_margin():
+    # the E12 range is the disk of radius 1/2; compare_ranges' inclusion
+    # margin is the boundary's margin of the sampled points
+    rb = crange.range_boundary(E12, 64)
+    assert rb.margin([0]) == pytest.approx(0.5, abs=1e-9)
+    assert rb.margin([0.6]) < 0.0
+    assert rb.margin([0, 0.6]) == rb.margin([0.6])
+    approx = ucrange.wuc_inner(E12, [1, 2], 40, np.random.default_rng(0))
+    res = ucrange.compare_ranges(E12, approx, 64)
+    assert res.inclusion_margin == res.boundary.margin(approx.points)
 
 
 @pytest.mark.parametrize(
@@ -484,7 +512,7 @@ def test_refinement_chains_from_the_grid_sample(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(crange, "support_direction", recorded)
-    crange._refine(a, 16, crange.SolveConfig(), sample, lambda t, h: h)
+    crange._refine(a, 16, crange.SolveConfig(), rb, lambda t, h: h)
     assert len(starts) > 2 and starts[0] is sample
     assert all(s is r for s, r in zip(starts[1:], results))
 
@@ -496,15 +524,10 @@ def test_warm_refinement_matches_cold(monkeypatch, n):
     a = matcore.ginibre_random(n, np.random.default_rng(5))
     rb = crange.range_boundary(a, 64)
     point = complex(0.1, -0.2)
-    thetas = rb.thetas()
-    margins = rb.supports() - (np.cos(thetas) * point.real + np.sin(thetas) * point.imag)
-    cases = [
-        (rb.samples[int(np.argmax(rb.supports()))], lambda t, h: h),
-        (rb.samples[int(np.argmin(margins))], lambda t, h: np.cos(t) * point.real + np.sin(t) * point.imag - h),
-    ]
-    warm = [crange._refine(a, 64, crange.SolveConfig(), *case) for case in cases]
+    objectives = [lambda t, h: h, lambda t, h: np.cos(t) * point.real + np.sin(t) * point.imag - h]
+    warm = [crange._refine(a, 64, crange.SolveConfig(), rb, f) for f in objectives]
     solve = crange.support_direction
     monkeypatch.setattr(crange, "support_direction", lambda a, theta, cfg, *, start=None: solve(a, theta, cfg))
-    cold = [crange._refine(a, 64, crange.SolveConfig(), *case) for case in cases]
-    for (_, w, w_flags), (_, c, c_flags) in zip(warm, cold):
+    cold = [crange._refine(a, 64, crange.SolveConfig(), rb, f) for f in objectives]
+    for (_, w, _, w_flags), (_, c, _, c_flags) in zip(warm, cold):
         assert w == pytest.approx(c, rel=1e-12, abs=1e-12) and w_flags == c_flags == ()

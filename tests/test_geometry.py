@@ -115,9 +115,3 @@ def test_hausdorff_at_extreme_scales():
             assert plain > 0.0
             assert abs(f(c * p, c * q) - c * plain) <= 1e-15 * c * plain
 
-
-def test_polygon_support():
-    square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    assert geometry.polygon_support(square, 0.0) == pytest.approx(1.0)
-    assert geometry.polygon_support(square, np.pi) == pytest.approx(0.0)
-    assert geometry.polygon_support(square, np.pi / 4.0) == pytest.approx(np.sqrt(2.0))

@@ -9,20 +9,21 @@ theta the support problem is
 
 an SDP over the elliptope.  Each solve returns two-sided bounds: the feasible
 maximizer B gives the attained value (lower bound), and a real diagonal y
-with diag(y) - H PSD gives the upper bound mean(y).  Each solve runs one
-chunk of block-coordinate ascent on a unit-vector Gram factor of B, from
-B = I or from a nearby direction's maximizer, against its slackness dual;
-an open bracket goes to a centred log-det barrier path on the dual
-(polish_dual, on the path routine _centred_path that the seminorm also
-follows), whose interior end point also yields a primal.  Solves are
-deterministic and take no seed.
+with diag(y) - H PSD gives the upper bound mean(y).
 
-Neighbouring directions are nearby SDPs, so the grid and the golden-section
-refinement chain their solves: each ascent starts from the Gram rows of the
-previous direction's maximizer instead of B = I.  A row update keeps the
-rows in the span of the current ones, so a rank-deficient start can stall
-the ascent; the bracket it leaves open goes to polish_dual as above.  A
-grid's samples thus depend on the order of its solves, which is fixed.
+A grid of directions (range_boundary) is one stacked solve: a centred
+log-det barrier path on the dual of every direction at once (polish_dual
+on a stack, on the path routine _centred_path that the seminorm also
+follows), whose interior end points also yield the primals.  Each direction
+follows its own path, so no grid sample depends on another or on the order
+of the directions.  One direction, as the golden-section refinement of
+radius and contains solves it, runs one chunk of block-coordinate ascent on
+a unit-vector Gram factor of B, from B = I or from the previous
+direction's maximizer, against its slackness dual; an open bracket goes to
+the same barrier path for that one matrix.  The refinement chains its
+solves, and a rank-deficient start can stall its ascent (a row update keeps
+the rows in the span of the current ones); the bracket that leaves open
+goes to polish_dual as above.  Solves are deterministic and take no seed.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ class SupportResult:
     """Certified solve of one support direction.
 
     value is attained by the maximizer (lower bound), Gram rows from an
-    ascent chunk; mean(dual_y) is an upper bound, as diag(dual_y) - H is PSD
-    (repaired slackness dual) or positive definite (barrier iterate).
+    ascent chunk or from the barrier's primal; mean(dual_y) is an upper
+    bound, as diag(dual_y) - H is PSD (repaired slackness dual) or positive
+    definite (barrier iterate).
     gap = mean(dual_y) - value.  flags is empty for certified solves: gap
     plus the rounding floor of H's off-diagonal part is at most cfg.tol.
     """
@@ -114,6 +116,10 @@ class RangeBoundary:
     def supports(self) -> np.ndarray:
         return np.array([s.value for s in self.samples])
 
+    def uppers(self) -> np.ndarray:
+        """value + gap of each sample: its dual bound, at or above h(theta_k)."""
+        return np.array([s.value + s.gap for s in self.samples])
+
     def witness_points(self) -> np.ndarray:
         return np.array([s.witness_point for s in self.samples])
 
@@ -121,18 +127,21 @@ class RangeBoundary:
         return _indexed_flags(self.samples)
 
     def margin(self, points) -> float:
-        """Least slack h(theta_k) - Re(exp(-i theta_k) z) over the grid and
-        the complex points z: negative if a point is outside a half-plane."""
+        """Least slack u_k - Re(exp(-i theta_k) z) over the grid and the
+        complex points z, u_k the dual bound of sample k (uppers): negative
+        only if a point is outside a proven supporting half-plane."""
         thetas, points = self.thetas(), np.asarray(points, dtype=np.complex128)
         proj = np.cos(thetas)[:, None] * points.real + np.sin(thetas)[:, None] * points.imag
-        return float(np.min(self.supports()[:, None] - proj))
+        return float(np.min(self.uppers()[:, None] - proj))
 
     def inner_hull(self) -> np.ndarray:
         pts = self.witness_points()
         return convex_hull(np.column_stack([pts.real, pts.imag]))
 
     def outer_polygon(self) -> np.ndarray:
-        return halfplane_polygon(self.thetas(), self.supports())
+        """Intersection of the half-planes at the dual bounds (uppers), which
+        contains the range."""
+        return halfplane_polygon(self.thetas(), self.uppers())
 
 
 def _indexed_flags(solves, first: int = 0) -> tuple[str, ...]:
@@ -181,15 +190,22 @@ def _ascend(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
     return v, val
 
 
+def _slack(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """diag(y) - H; for an (m, n, n) stack of H, one per row of the (m, n) y."""
+    return np.diag(y) - h if h.ndim == 2 else y[..., None] * np.eye(h.shape[-1]) - h
+
+
 def repair_dual(h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Uniform shift making diag(y) - H exactly PSD."""
-    lam = matcore.hermitian_eigs(np.diag(y) - h).eigenvalues[0]
-    return y - lam if lam < 0.0 else y
+    """Uniform shift making diag(y) - H exactly PSD; for a stack of H, each
+    row of y gets its own shift."""
+    lam = matcore.hermitian_eigs(_slack(y, h)).eigenvalues[..., :1]
+    return y - np.minimum(lam, 0.0)
 
 
-def _rounding_floor(h: np.ndarray) -> float:
-    """8 n eps (1 + max|H|): the resolution of mean(y) and of tr(HB)/n."""
-    return 8.0 * h.shape[0] * np.finfo(float).eps * (1.0 + float(np.max(np.abs(h))))
+def _rounding_floor(h: np.ndarray):
+    """8 n eps (1 + max|H|): the resolution of mean(y) and of tr(HB)/n; one
+    per matrix of a stack."""
+    return 8.0 * h.shape[-1] * np.finfo(float).eps * (1.0 + np.max(np.abs(h), axis=(-2, -1)))
 
 
 # Centred barrier path, shared by polish_dual and metrics._barrier: damped
@@ -216,6 +232,37 @@ def _inverse_factor(m):
     return np.linalg.inv(c) if np.isfinite(c).all() else None
 
 
+def _inverse_factors(m):
+    """_inverse_factor of each matrix of the stack m: (G, ok), ok marking the
+    matrices that have a finite Cholesky factor L and G holding their L^-1
+    (NaN for the others).  np.linalg.cholesky raises for the whole stack if
+    one matrix is not positive definite; each is then factored alone."""
+    try:
+        c = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        gs = [_inverse_factor(mj) for mj in m]
+        ok = np.array([g is not None for g in gs])
+        return np.array([np.full_like(mj, np.nan) if g is None else g for g, mj in zip(gs, m)]), ok
+    ok = np.isfinite(c).all(axis=(-2, -1))
+    if ok.all():
+        return np.linalg.inv(c), ok
+    g = np.full_like(c, np.nan)
+    g[ok] = np.linalg.inv(c[ok])
+    return g, ok
+
+
+def _gram(g):
+    """G* G, for G = L^-1 and L the Cholesky factor of a slack matrix: its
+    inverse, Hermitian by construction; of each matrix of a stack."""
+    return g.conj().swapaxes(-1, -2) @ g
+
+
+def _primal_rows(g):
+    """Gram rows of the unit-diagonal rescaling of G* G (of each of a stack),
+    the primal of a barrier point with slack inverse G* G."""
+    return (g / np.linalg.norm(g, axis=-2, keepdims=True)).conj().swapaxes(-1, -2)
+
+
 def _centred_path(slack, newton, x, mu, stop, level=None):
     """Follow the path of minimizers of c.x - mu logdet(slack(x)), for a cost
     c that only newton sees.
@@ -232,11 +279,17 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
     level(slack(x)^-1) is called if given; it must not modify its argument,
     which the next Newton system reads.  The path ends once stop(mu) holds.
     Returns the last centred iterate, which is strictly interior.
+
+    A 2-D x is a stack of iterates, one row per matrix, and mu an array of
+    their levels; _centred_stack follows each matrix's path on it, and
+    calls no level hook.
     """
+    if x.ndim == 2:
+        return _centred_stack(slack, newton, x, mu, stop)
     g = _inverse_factor(slack(x))
     if g is None:
         raise np.linalg.LinAlgError("the path must start inside the cone")
-    w = g.conj().T @ g  # slack^-1 = L^-* L^-1, Hermitian by construction
+    w = _gram(g)
     while True:
         for _ in range(PATH_STEPS):
             try:
@@ -253,7 +306,7 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
                     break
             else:
                 break
-            x, w = x_new, g.conj().T @ g
+            x, w = x_new, _gram(g)
             if decrement <= PATH_TOL * mu:
                 break
         if level is not None:
@@ -261,6 +314,58 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
         if stop(mu):
             return x
         mu *= PATH_SHRINK
+
+
+def _centred_stack(slack, newton, x, mu, stop):
+    """_centred_path on a stack: row j of x follows matrix j's path with its
+    own mu[j], Newton decrement, damped step and halving, as it would alone.
+    Each round takes one step on every matrix still on the path.  A matrix
+    leaves at the end of the level where stop holds, and its row is final.
+
+    The callbacks work on the rows still on the path: slack(x, k) and
+    stop(mu, k) also receive k, the stack indices of those rows, and
+    newton(w, mu) takes them in that order.  If one Newton system
+    of the stack is singular, each is solved alone, and those that are
+    singular take a zero step, which ends their level; a stacked Cholesky
+    factorisation falls back in the same way (_inverse_factors)."""
+    x, mu = np.array(x, dtype=float), np.array(mu, dtype=float)
+    k = np.arange(len(x))  # stack indices of the rows still on the path
+    g, ok = _inverse_factors(slack(x, k))
+    if not ok.all():
+        raise np.linalg.LinAlgError("the path must start inside the cone")
+    out, w, steps = x.copy(), _gram(g), np.zeros(len(k), dtype=int)
+    while k.size:
+        try:
+            grad, dx = newton(w, mu)
+        except np.linalg.LinAlgError:  # one system is singular: solve each alone
+            grad, dx = np.zeros_like(x), np.zeros_like(x)
+            for j in range(len(k)):
+                try:
+                    (grad[j],), (dx[j],) = newton(w[j : j + 1], mu[j : j + 1])
+                except np.linalg.LinAlgError:
+                    pass
+        decrement = -np.einsum("ij,ij->i", grad, dx)
+        lam = np.sqrt(np.maximum(decrement / mu, 0.0))
+        t = np.where(lam > 0.25, 1.0 / (1.0 + lam), 1.0)
+        moved = np.zeros(len(k), dtype=bool)
+        j = np.arange(len(k))  # rows whose trial steps all left the cone so far
+        for _ in range(40):
+            x_new = x[j] + t[j, None] * dx[j]
+            g, ok = _inverse_factors(slack(x_new, k[j]))
+            x[j[ok]], w[j[ok]], moved[j[ok]] = x_new[ok], _gram(g[ok]), True
+            j = j[~ok]
+            if not j.size:
+                break
+            t[j] *= 0.5
+        steps += 1
+        ended = ~moved | (decrement <= PATH_TOL * mu) | (steps == PATH_STEPS)
+        leave = ended & stop(mu, k)
+        mu[ended] *= PATH_SHRINK
+        steps[ended] = 0
+        if leave.any():
+            out[k[leave]] = x[leave]
+            k, x, w, mu, steps = k[~leave], x[~leave], w[~leave], mu[~leave], steps[~leave]
+    return out
 
 
 def polish_dual(h, y0, target, stop_tol):
@@ -273,11 +378,16 @@ def polish_dual(h, y0, target, stop_tol):
     rescaling of (diag(y) - H)^-1 is a primal within about n mu of mean(y).
     Returns the repaired warm start if it is within stop_tol of target, else
     the last centred iterate, which is strictly interior.
+
+    An (m, n, n) stack of H is polished on one stacked path, each matrix as
+    it would be alone, with y0 broadcast to (m, n) and target to (m,).
     """
-    n = h.shape[0]
-    stop_tol = max(stop_tol, _rounding_floor(h))
-    y = repair_dual(h, np.asarray(y0, dtype=float))
-    gap = float(np.mean(y)) - target
+    n = h.shape[-1]
+    stop_tol = np.maximum(stop_tol, _rounding_floor(h))
+    y = repair_dual(h, np.broadcast_to(np.asarray(y0, dtype=float), h.shape[:-1]))
+    gap = np.mean(y, axis=-1) - target
+    if h.ndim == 3:
+        return _polish_stack(h, y, gap, stop_tol)
     if gap <= stop_tol:
         return y
 
@@ -294,9 +404,30 @@ def polish_dual(h, y0, target, stop_tol):
         return y
 
 
+def _polish_stack(h, y, gap, stop_tol):
+    """polish_dual's path for the stack h from its repaired duals y, whose
+    gaps and stopping tolerances are one per matrix."""
+    n = h.shape[-1]
+    k = np.flatnonzero(gap > stop_tol)
+    # rounding can put a shifted start outside the cone: that matrix keeps y
+    k = k[_inverse_factors(_slack(y[k] + gap[k, None], h[k]))[1]]
+    if not k.size:
+        return y
+
+    def newton(w, mu):
+        grad = 1.0 / n - mu[:, None] * np.diagonal(w, axis1=1, axis2=2).real
+        return grad, np.linalg.solve(mu[:, None, None] * np.abs(w) ** 2, -grad[..., None])[..., 0]
+
+    y[k] = _centred_path(
+        lambda x, j: _slack(x, h[k[j]]), newton, y[k] + gap[k, None], gap[k] / n,
+        lambda mu, j: n * mu <= stop_tol[k[j]] / 4.0,
+    )
+    return y
+
+
 def support_direction(
-    a, theta: float, cfg: SolveConfig = SolveConfig(), *, start: SupportResult | None = None
-) -> SupportResult:
+    a, theta, cfg: SolveConfig = SolveConfig(), *, start: SupportResult | None = None
+) -> SupportResult | SupportResults:
     """Certified support value of the range of A in direction theta.
 
     One ascent chunk is checked against its slackness dual; it starts from
@@ -306,8 +437,16 @@ def support_direction(
     a second ascent chunk from its interior primal tightens the primal.  The
     result keeps the better primal, and the polished dual unless the repaired
     one is lower by more than the rounding floor; it is flagged
-    gap_not_closed if they are still more than cfg.tol apart."""
+    gap_not_closed if they are still more than cfg.tol apart.
+
+    A 1-D array theta is solved as one stack by _support_stack, which returns
+    one SupportResult per angle and takes no start.  One direction is faster
+    on the ascent above, many on the stacked barrier path."""
     a = matcore.as_matrix(a)
+    if np.ndim(theta) == 1:
+        if start is not None:
+            raise ValueError("start is for a single theta")
+        return _support_stack(a, np.asarray(theta, dtype=float), cfg)
     n = a.shape[0]
     if start is None:
         v0 = np.eye(n, dtype=np.complex128)
@@ -330,11 +469,10 @@ def support_direction(
         # keep the repaired one only if it is lower beyond rounding
         if float(np.mean(y_polished)) < float(np.mean(y)) + floor:
             y = y_polished
-        # rows of the unit-diagonal rescaling of (diag(y) - H)^-1 = G* G,
-        # G = L^-1 for the Cholesky factor L; ascent polishes that primal
+        # ascent polishes the unit-diagonal rescaling of (diag(y) - H)^-1
         g = _inverse_factor(np.diag(y_polished) - h)
         if g is not None:  # else a warm start on the cone's boundary
-            v_polished, value_polished = _ascend(h, (g / np.linalg.norm(g, axis=0)).conj().T)
+            v_polished, value_polished = _ascend(h, _primal_rows(g))
             if value_polished > value:
                 v, value = v_polished, value_polished
 
@@ -350,6 +488,58 @@ def support_direction(
     )
 
 
+class SupportResults(list):
+    """The SupportResult of each angle of one stacked solve, in their order;
+    certified answers for all of them what it answers for one."""
+
+    @property
+    def certified(self) -> bool:
+        return all(s.certified for s in self)
+
+
+def _support_stack(a: np.ndarray, thetas: np.ndarray, cfg: SolveConfig) -> SupportResults:
+    """support_direction at each angle of thetas, from one stacked barrier
+    solve.  B = I attains 0 on every H_k without its diagonal, so the dual
+    is polish_dual(H, 0, 0, cfg.tol / 4), started from repair_dual(H, 0) =
+    lambda_max(H_k) 1.  The primal is the unit-diagonal rescaling of
+    (diag(y_k) - H_k)^-1, or B = I where that has no Cholesky factor (a dual
+    left on the cone's boundary, as for H_k = 0) or attains less than 0.
+    Certified as support_direction certifies, with the same rounding floor."""
+    n = a.shape[0]
+    s, k = matcore.hermitian_parts(a)
+    h = np.cos(thetas)[:, None, None] * s + np.sin(thetas)[:, None, None] * k
+    d = np.diagonal(h, axis1=1, axis2=2).real
+    h = h - d[..., None] * np.eye(n)
+    floor = _rounding_floor(h)
+    y = polish_dual(h, 0.0, 0.0, cfg.tol / 4.0)
+    g, ok = _inverse_factors(_slack(y, h))
+    v = np.broadcast_to(np.eye(n, dtype=np.complex128), h.shape).copy()
+    v[ok] = _primal_rows(g[ok])
+    value = np.sum(v.conj() * (h @ v), axis=(1, 2)).real / n
+    v[value < 0.0], value = np.eye(n), np.maximum(value, 0.0)
+    gap = np.mean(y, axis=1) - value
+    value += np.mean(d, axis=1)
+    witness = np.sum(v.conj() * (a @ v), axis=(1, 2)) / n
+    stacked = (
+        SupportResult(
+            theta=float(thetas[j]),
+            value=float(value[j]),
+            maximizer=GramFactor(v[j]),
+            witness_point=complex(witness[j]),
+            dual_y=y[j] + d[j],
+            gap=float(gap[j]),
+            flags=() if gap[j] + floor[j] <= cfg.tol else (FLAG_GAP,),
+        )
+        for j in range(len(thetas))
+    )
+    # near a sub-precision tol the barrier's primal can fall short; a bracket
+    # left open gets the one-direction solve from that primal, if narrower
+    return SupportResults(
+        r if r.certified else min(r, support_direction(a, r.theta, cfg, start=r), key=lambda s: s.gap)
+        for r in stacked
+    )
+
+
 def check_directions(m: int) -> None:
     """Reject a support grid of fewer than 3 directions, whose supporting
     half-planes cannot bound the range."""
@@ -358,16 +548,13 @@ def check_directions(m: int) -> None:
 
 
 def range_boundary(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> RangeBoundary:
-    """Support solves at theta_k = 2 pi k / m; the hull of the witness points
-    and the intersection of the supporting half-planes sandwich the range.
-    Direction 0 starts from B = I, each later one from the sample before."""
+    """Support solves at theta_k = 2 pi k / m, all m as one stacked barrier
+    solve, so that no sample depends on another; the hull of the witness
+    points and the intersection of the supporting half-planes sandwich the
+    range."""
     check_directions(m)
-    a = matcore.as_matrix(a)
-    samples = [support_direction(a, 0.0, cfg)]
-    for k in range(1, m):
-        samples.append(support_direction(a, 2.0 * math.pi * k / m, cfg, start=samples[-1]))
-    radius = max(s.value for s in samples)
-    return RangeBoundary(samples=samples, radius=radius)
+    samples = support_direction(a, 2.0 * math.pi * np.arange(m) / m, cfg)
+    return RangeBoundary(samples=samples, radius=max(s.value for s in samples))
 
 
 def _refine(a, m: int, cfg: SolveConfig, boundary: RangeBoundary, objective):
@@ -421,23 +608,30 @@ def radius(a, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> float:
 
 def contains(a, point: complex, m: int = DIRECTIONS, cfg: SolveConfig = SolveConfig()) -> Containment:
     """Membership via supporting half-planes: the margin is the least slack
-    h(theta) - Re(exp(-i theta) point), found by _refine at theta_star, and
-    the point is inside iff it is >= -1e-9.  flags are those of every solve,
-    and the verdict is inconclusive if one of them is open with a gap above
-    |margin|.  A point whose modulus overflows is rejected before any solve
-    (by math.hypot, which returns inf where abs() raises OverflowError)."""
+    h(theta) - Re(exp(-i theta) point) at the attained values, found by
+    _refine at theta_star.  The point is outside only if the dual margin,
+    the least slack at the dual bounds value + gap over every solve, is
+    below -1e-9, so no point of the range is called outside; if the margin
+    is below -1e-9 and the dual margin is not, the verdict is inconclusive.
+    flags are those of every solve, and the verdict is also inconclusive if
+    one of them is open with a gap above |margin|.  A point whose modulus
+    overflows is rejected before any solve (by math.hypot, which returns inf
+    where abs() raises OverflowError)."""
     point = complex(point)
     if not math.isfinite(math.hypot(point.real, point.imag)):
         raise ValueError(f"point must be finite, with a finite modulus, got {point}")
     a = matcore.as_matrix(a)
-    theta_star, neg, solves, flags = _refine(
-        a, m, cfg, range_boundary(a, m, cfg), lambda t, h: math.cos(t) * point.real + math.sin(t) * point.imag - h
-    )
+
+    def proj(t: float) -> float:
+        return math.cos(t) * point.real + math.sin(t) * point.imag
+
+    theta_star, neg, solves, flags = _refine(a, m, cfg, range_boundary(a, m, cfg), lambda t, h: proj(t) - h)
     margin = 0.0 - neg  # +0.0, not -0.0, on the boundary, as h - Re(...) gives it
+    dual_margin = min(s.value + s.gap - proj(s.theta) for s in solves)
     return Containment(
-        contains=margin >= -1e-9,
+        contains=dual_margin >= -1e-9,
         margin=margin,
-        inconclusive=any(not s.certified and s.gap > abs(margin) for s in solves),
+        inconclusive=margin < -1e-9 <= dual_margin or any(not s.certified and s.gap > abs(margin) for s in solves),
         theta_star=float(theta_star),
         flags=flags,
     )

@@ -240,8 +240,8 @@ def compare_ranges(
     approx against the certified correlation range of T on m directions,
     which is returned as boundary.
 
-    inclusion_margin is boundary.margin of the sampled points (>= -1e-8
-    expected always).  deficit is the directed Hausdorff distance from the
+    inclusion_margin is boundary.margin of the sampled points, taken at
+    the dual bounds (>= -1e-8 expected always).  deficit is the directed Hausdorff distance from the
     correlation-range inner polygon to the sampled hull: a convergence
     diagnostic for n <= 3 (where the two ranges agree), a plain coverage
     report otherwise.

@@ -1,7 +1,10 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnr import crange, matcore, ucrange
 from cnr.elliptope import GramFactor, validate_correlation
@@ -411,28 +414,9 @@ def test_large_diagonal_keeps_certificate():
         assert res.value == pytest.approx(base.value + 1e6 * np.cos(th), abs=1e-8)
 
 
-def _assert_same_solve(r, s):
-    assert (r.theta, r.value, r.witness_point, r.gap, r.flags) == (s.theta, s.value, s.witness_point, s.gap, s.flags)
-    np.testing.assert_array_equal(r.maximizer.vectors, s.maximizer.vectors)
-    np.testing.assert_array_equal(r.dual_y, s.dual_y)
-
-
-@pytest.mark.parametrize("op", [0, 6])
-def test_grid_chains_its_solves(op):
-    # direction 0 is cold; each later direction starts from the sample
-    # before, which the solve leaves as it was
-    a = _boundary_input(1, op)
-    cfg = crange.SolveConfig()
-    rb = crange.range_boundary(a, 32, cfg)
-    _assert_same_solve(rb.samples[0], crange.support_direction(a, 0.0))
-    for k in range(1, 32):
-        theta = 2.0 * np.pi * k / 32
-        _assert_same_solve(rb.samples[k], crange.support_direction(a, theta, cfg, start=rb.samples[k - 1]))
-
-
 def test_grid_samples_keep_their_own_maximizers():
     # each value is Re tr(H V V*) / n of its own maximizer, as the benchmark
-    # checker recomputes it: no later solve wrote into an earlier one's rows
+    # checker recomputes it
     for op in range(6):
         a = _boundary_input(1, op)
         n = a.shape[0]
@@ -453,24 +437,31 @@ def test_start_must_match_the_size(monkeypatch):
             crange.support_direction(a, 0.1, start=start)
 
 
-def test_grid_certifies_no_wider_than_cold_solves():
+def test_grid_brackets_overlap_scalar_solves():
+    # the stacked grid and the one-direction solves bracket the same support
+    # value: every grid sample certifies, and [value, value + gap] meets the
+    # scalar solve's bracket to within the rounding floor
     for seed in (1, 2):
-        warm = cold = 0.0
         for op in range(30):
             a = _boundary_input(seed, op)
             rb = crange.range_boundary(a, 32)
             assert not rb.flags()
-            warm = max(warm, max(s.gap for s in rb.samples))
-            cold = max(cold, max(crange.support_direction(a, s.theta).gap for s in rb.samples))
-        assert warm <= cold
+            for s in rb.samples:
+                r = crange.support_direction(a, s.theta)
+                h = crange.rotated_hermitian_part(a, s.theta)
+                floor = crange._rounding_floor(h - np.diag(np.diag(h)))
+                assert s.value <= r.value + r.gap + floor and r.value <= s.value + s.gap + floor
 
 
 def test_stalled_warm_start_certifies_through_polish(monkeypatch):
-    # seed 1, op 6: the maximizer of direction 12 has rank 1, and row updates
-    # keep the rows in its span, so the ascent of direction 13 from it stalls;
-    # polish_dual closes that bracket, where the cold ascent closes its own
+    # seed 1, op 6: chained from theta = 0 on the 32-direction grid, the
+    # maximizer of direction 12 has rank 1, and row updates keep the rows in
+    # its span, so the ascent of direction 13 from it stalls; polish_dual
+    # closes that bracket, where the cold ascent closes its own
     a = _boundary_input(1, 6)
-    start = crange.range_boundary(a, 32).samples[12]
+    start = crange.support_direction(a, 0.0)
+    for k in range(1, 13):
+        start = crange.support_direction(a, 2.0 * np.pi * k / 32, start=start)
     assert np.linalg.matrix_rank(start.maximizer.vectors, tol=1e-8) == 1
     polished = []
     polish = crange.polish_dual
@@ -478,25 +469,6 @@ def test_stalled_warm_start_certifies_through_polish(monkeypatch):
     theta = 2.0 * np.pi * 13 / 32
     assert crange.support_direction(a, theta).certified and not polished
     assert crange.support_direction(a, theta, start=start).certified and len(polished) == 1
-
-
-def test_warm_grid_does_less_ascent_work(monkeypatch):
-    # np.vdot runs once per row update and once per sweep of the ascent (and
-    # once per witness point): a count of its work that no clock moves
-    calls = []
-    vdot = np.vdot
-    monkeypatch.setattr(np, "vdot", lambda *args: calls.append(1) or vdot(*args))
-    warm = cold = 0
-    for op in range(6):
-        a = _boundary_input(1, op)
-        calls.clear()
-        crange.range_boundary(a, 32)
-        warm += len(calls)
-        calls.clear()
-        for k in range(32):
-            crange.support_direction(a, 2.0 * np.pi * k / 32)
-        cold += len(calls)
-    assert warm <= 0.75 * cold
 
 
 def test_refinement_chains_from_the_grid_sample(monkeypatch):
@@ -531,3 +503,84 @@ def test_warm_refinement_matches_cold(monkeypatch, n):
     cold = [crange._refine(a, 64, crange.SolveConfig(), rb, f) for f in objectives]
     for (_, w, _, w_flags), (_, c, _, c_flags) in zip(warm, cold):
         assert w == pytest.approx(c, rel=1e-12, abs=1e-12) and w_flags == c_flags == ()
+
+
+def test_stacked_repair_and_polish_match_each_matrix():
+    # one stacked call per function against one call per matrix: the duals
+    # are feasible and agree to within the polish tolerance; the zero matrix
+    # is closed at its repaired start, which it keeps
+    a = _boundary_input(1, 7)
+    h = np.stack([crange.rotated_hermitian_part(a, 2.0 * np.pi * k / 8) for k in range(8)] + [np.zeros((4, 4))])
+    y0 = np.zeros(h.shape[:2])
+    target = np.trace(h, axis1=1, axis2=2).real / 4  # attained by B = I
+    stop_tol = 2.5e-9
+    repaired = crange.repair_dual(h, y0)
+    polished = crange.polish_dual(h, y0, target, stop_tol)
+    for j in range(len(h)):
+        r = crange.repair_dual(h[j], y0[j])
+        p = crange.polish_dual(h[j], y0[j], target[j], stop_tol)
+        assert np.mean(repaired[j]) == pytest.approx(np.mean(r), abs=1e-12)
+        assert abs(np.mean(polished[j]) - np.mean(p)) <= stop_tol
+        assert np.linalg.eigvalsh(np.diag(polished[j]) - h[j])[0] >= -1e-12
+    np.testing.assert_array_equal(polished[-1], np.zeros(4))
+
+
+def test_stacked_support_takes_no_start():
+    a = _boundary_input(1, 1)
+    start = crange.support_direction(a, 0.0)
+    with pytest.raises(ValueError, match="start is for a single theta"):
+        crange.support_direction(a, np.array([0.0, 1.0]), start=start)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.array([[2.0 - 1.0j]]), np.diag([1.0 + 2.0j, -0.5, 3.0])],
+    ids=["n1", "diagonal"],
+)
+def test_grid_of_zero_off_diagonal_certifies(a):
+    # H_k = 0 at every angle: polish_dual keeps the repaired dual 0, which
+    # has no Cholesky factor, and the primal is B = I
+    rb = crange.range_boundary(a, 16)
+    assert rb.flags() == ()
+    tau = matcore.normalized_trace(a)
+    expected = np.cos(rb.thetas()) * tau.real + np.sin(rb.thetas()) * tau.imag
+    np.testing.assert_allclose(rb.supports(), expected, atol=1e-12)
+    assert all(s.gap == 0.0 for s in rb.samples)
+
+
+def test_huge_grid_flags_without_raising():
+    # a 4 x 4 Gaussian scaled by 2^520, as in CI: stacked Newton systems go
+    # singular there and fall back to one matrix at a time; the grid stays
+    # open, finite and free of overflow
+    g = np.random.default_rng(4).standard_normal((4, 4, 2))
+    a = (g[..., 0] + 1j * g[..., 1]) * 2.0**520
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rb = crange.range_boundary(a, 64)
+    assert rb.flags() and np.isfinite(rb.supports()).all() and np.isfinite(rb.uppers()).all()
+
+
+def test_point_between_attained_and_dual_line_is_not_outside(monkeypatch):
+    # the E12 range is the disk of radius 1/2; sample 0's bracket is widened
+    # to [1/2 - 1e-8, 1/2 + gap], and z = 1/2 - 5e-9 is in the range, between
+    # its attained line and its dual line
+    rb = crange.range_boundary(E12, 8)
+    s = rb.samples[0]
+    rb.samples[0] = dataclasses.replace(s, value=s.value - 1e-8, gap=s.gap + 1e-8)
+    z = 0.5 - 5e-9
+    assert rb.margin([z]) >= 0.0
+    outer = rb.outer_polygon()
+    assert np.max(outer[:, 0]) >= z
+    monkeypatch.setattr(crange, "range_boundary", lambda *args: rb)
+    res = crange.contains(E12, z, 8)
+    assert res.margin < -1e-9  # the attained lines alone would cut z off
+    assert res.contains and res.inconclusive
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(0, 15))
+def test_certified_witness_is_never_outside(seed, n, k):
+    a = matcore.ginibre_random(n, np.random.default_rng(seed))
+    res = crange.support_direction(a, 2.0 * np.pi * (k + 0.5) / 16)
+    if res.certified:
+        assert crange.contains(a, res.witness_point, 16).contains

@@ -11,12 +11,12 @@ an SDP over the elliptope.  Each solve returns two-sided bounds: the feasible
 maximizer B gives the attained value (lower bound), and a real diagonal y
 with diag(y) - H PSD gives the upper bound mean(y).
 
-A grid of directions (range_boundary) is one stacked solve: a centred
+A grid of directions (range_boundary) is one stacked solve: a long-step
 log-det barrier path on the dual of every direction at once (polish_dual
 on a stack, on the path routine _centred_path that the seminorm also
-follows), whose interior end points also yield the primals.  Each direction
-follows its own path, so no grid sample depends on another or on the order
-of the directions.  One direction, as the golden-section refinement of
+follows), whose centred interior end points also yield the primals.  Each
+direction follows its own path, so no grid sample depends on another or on
+the order of the directions.  One direction, as the golden-section refinement of
 radius and contains solves it, runs one chunk of block-coordinate ascent on
 a unit-vector Gram factor of B, from B = I or from the previous
 direction's maximizer, against its slackness dual; an open bracket goes to
@@ -208,14 +208,22 @@ def _rounding_floor(h: np.ndarray):
     return 8.0 * h.shape[-1] * np.finfo(float).eps * (1.0 + np.max(np.abs(h), axis=(-2, -1)))
 
 
-# Centred barrier path, shared by polish_dual and metrics._barrier: damped
-# Newton steps centre each mu level, up to and including one with decrement
-# -grad.step <= PATH_TOL * mu (PATH_STEPS is only a safety stop: the slowest
-# level seen takes 11 steps on the seminorm at n <= 16, benchmark inputs and
-# the masked-sparse input of test_seminorm_centres_slow_levels alike, and 9
-# on support solves at n <= 32); then mu shrinks by PATH_SHRINK.  A step of
-# Newton decrement lam starts at length 1/(1 + lam) if lam > 1/4, else 1,
-# and is halved, at most 40 times, until it stays in the cone.
+# Centred barrier path, shared by polish_dual and metrics._barrier, a
+# long-step path (Nesterov and Nemirovski 1994): a level before the last
+# ends at its first full-length Newton step, one of decrement lam <= 1/4,
+# which leaves the iterate in the quadratic region of the next level; the
+# last level, and every level of a path with a level hook, is centred up to
+# and including a step with decrement -grad.step <= PATH_TOL * mu, or one
+# that does not lower the decrement below the step before it (rounding has
+# then stalled the level); then mu shrinks by PATH_SHRINK.  A step that
+# leaves the iterate in place, all of it lost to rounding or none of its
+# trials in the cone, ends any level: the next would repeat it.  PATH_STEPS
+# is only a safety stop: the slowest level seen takes 11 steps, on the
+# seminorm at n <= 16 (benchmark inputs and the masked-sparse input of
+# test_seminorm_centres_slow_levels alike) and on support solves at
+# n <= 32.  A step of Newton decrement lam starts at length 1/(1 + lam)
+# if lam > 1/4, else 1, and is halved, at most 40 times, until it stays in
+# the cone.
 PATH_TOL = 1e-6
 PATH_STEPS = 100
 PATH_SHRINK = 0.02
@@ -275,10 +283,14 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
     is the step's local norm: the damped step 1/(1 + lam) then stays in the
     Dikin ellipsoid, hence in the cone, and lowers the merit by at least
     mu (lam - ln(1 + lam)) > 0, so no merit is evaluated: a trial step is
-    taken once slack(x) has a finite Cholesky factor.  After each level,
-    level(slack(x)^-1) is called if given; it must not modify its argument,
-    which the next Newton system reads.  The path ends once stop(mu) holds.
-    Returns the last centred iterate, which is strictly interior.
+    taken once slack(x) has a finite Cholesky factor.  A level where
+    stop(mu) does not hold ends at its first step with lam <= 1/4; the last
+    is centred to a decrement of PATH_TOL mu, or until a step in that region
+    stops lowering it; a step that leaves x in place ends any level (see
+    PATH_TOL).  With a level hook every level is centred that way, and
+    level(slack(x)^-1) is called after each; it must not modify its
+    argument, which the next Newton system reads.  The path ends once
+    stop(mu) holds.  Returns the last iterate, strictly interior.
 
     A 2-D x is a stack of iterates, one row per matrix, and mu an array of
     their levels; _centred_stack follows each matrix's path on it, and
@@ -291,6 +303,9 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
         raise np.linalg.LinAlgError("the path must start inside the cone")
     w = _gram(g)
     while True:
+        last = stop(mu)
+        centre = last or level is not None  # else end at the first full step
+        prev = math.inf
         for _ in range(PATH_STEPS):
             try:
                 grad, dx = newton(w, mu)
@@ -306,34 +321,41 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
                     break
             else:
                 break
-            x, w = x_new, _gram(g)
-            if decrement <= PATH_TOL * mu:
+            if np.array_equal(x_new, x):  # rounding lost the step: the next repeats it
                 break
+            x, w = x_new, _gram(g)
+            if decrement <= PATH_TOL * mu or (lam <= 0.25 and not (centre and decrement < prev)):
+                break
+            prev = decrement
         if level is not None:
             level(w)
-        if stop(mu):
+        if last:
             return x
         mu *= PATH_SHRINK
 
 
 def _centred_stack(slack, newton, x, mu, stop):
     """_centred_path on a stack: row j of x follows matrix j's path with its
-    own mu[j], Newton decrement, damped step and halving, as it would alone.
-    Each round takes one step on every matrix still on the path.  A matrix
-    leaves at the end of the level where stop holds, and its row is final.
+    own mu[j], Newton decrement, damped step, halving and level ends, as it
+    would alone.  Each round takes one step on every matrix still on the
+    path, its first trial on the whole stack; only the rows whose trial left
+    the cone are halved, on their own.  A matrix leaves at the end of the
+    level where stop holds, and its row is final.
 
     The callbacks work on the rows still on the path: slack(x, k) and
     stop(mu, k) also receive k, the stack indices of those rows, and
     newton(w, mu) takes them in that order.  If one Newton system
     of the stack is singular, each is solved alone, and those that are
-    singular take a zero step, which ends their level; a stacked Cholesky
-    factorisation falls back in the same way (_inverse_factors)."""
+    singular take a zero step, which leaves the row in place and so ends its
+    level; a stacked Cholesky factorisation falls back in the same way
+    (_inverse_factors)."""
     x, mu = np.array(x, dtype=float), np.array(mu, dtype=float)
     k = np.arange(len(x))  # stack indices of the rows still on the path
     g, ok = _inverse_factors(slack(x, k))
     if not ok.all():
         raise np.linalg.LinAlgError("the path must start inside the cone")
     out, w, steps = x.copy(), _gram(g), np.zeros(len(k), dtype=int)
+    prev = np.full(len(k), np.inf)  # each row's last decrement on its level
     while k.size:
         try:
             grad, dx = newton(w, mu)
@@ -347,24 +369,37 @@ def _centred_stack(slack, newton, x, mu, stop):
         decrement = -np.einsum("ij,ij->i", grad, dx)
         lam = np.sqrt(np.maximum(decrement / mu, 0.0))
         t = np.where(lam > 0.25, 1.0 / (1.0 + lam), 1.0)
-        moved = np.zeros(len(k), dtype=bool)
-        j = np.arange(len(k))  # rows whose trial steps all left the cone so far
-        for _ in range(40):
-            x_new = x[j] + t[j, None] * dx[j]
-            g, ok = _inverse_factors(slack(x_new, k[j]))
-            x[j[ok]], w[j[ok]], moved[j[ok]] = x_new[ok], _gram(g[ok]), True
-            j = j[~ok]
-            if not j.size:
-                break
-            t[j] *= 0.5
+        x_old, x_new = x, x + t[:, None] * dx
+        g, ok = _inverse_factors(slack(x_new, k))
+        if ok.all():
+            x, w = x_new, _gram(g)
+        else:  # halve the steps that left the cone, on those rows alone
+            x = x.copy()
+            x[ok], w[ok] = x_new[ok], _gram(g[ok])
+            j = np.flatnonzero(~ok)
+            for _ in range(39):
+                t[j] *= 0.5
+                x_new = x[j] + t[j, None] * dx[j]
+                g, ok = _inverse_factors(slack(x_new, k[j]))
+                x[j[ok]], w[j[ok]] = x_new[ok], _gram(g[ok])
+                j = j[~ok]
+                if not j.size:
+                    break
         steps += 1
-        ended = ~moved | (decrement <= PATH_TOL * mu) | (steps == PATH_STEPS)
-        leave = ended & stop(mu, k)
+        last = stop(mu, k)
+        # a full step ends the level, unless it is the last and still centring
+        settled = (lam <= 0.25) & ~(last & (decrement < prev))
+        # so does a row left in place, by rounding or by no step in the cone:
+        # its next step would repeat this one
+        idle = (x == x_old).all(axis=1)
+        ended = idle | (decrement <= PATH_TOL * mu) | settled | (steps == PATH_STEPS)
+        leave = ended & last
         mu[ended] *= PATH_SHRINK
-        steps[ended] = 0
+        steps[ended], prev = 0, np.where(ended, np.inf, decrement)
         if leave.any():
             out[k[leave]] = x[leave]
-            k, x, w, mu, steps = k[~leave], x[~leave], w[~leave], mu[~leave], steps[~leave]
+            keep = ~leave
+            k, x, w, mu, steps, prev = k[keep], x[keep], w[keep], mu[keep], steps[keep], prev[keep]
     return out
 
 
@@ -374,10 +409,12 @@ def polish_dual(h, y0, target, stop_tol):
     Follows _centred_path on mean(y) - mu logdet(diag(y) - H) from the
     repaired warm start shifted up by its gap to target; mu starts at that
     gap / n and the path ends once n mu <= stop_tol / 4, with stop_tol
-    floored at 8 n eps (1 + max|H|).  At a centred point the unit-diagonal
-    rescaling of (diag(y) - H)^-1 is a primal within about n mu of mean(y).
-    Returns the repaired warm start if it is within stop_tol of target, else
-    the last centred iterate, which is strictly interior.
+    floored at 8 n eps (1 + max|H|); only that last level is centred, the
+    ones before end at their first full Newton step.  At a centred point the
+    unit-diagonal rescaling of (diag(y) - H)^-1 is a primal within about
+    n mu of mean(y).  Returns the repaired warm start if it is within
+    stop_tol of target, else the path's end point, which is strictly
+    interior.
 
     An (m, n, n) stack of H is polished on one stacked path, each matrix as
     it would be alone, with y0 broadcast to (m, n) and target to (m,).

@@ -17,12 +17,12 @@ trace-zero diagonals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import jsonio, matcore
-from .crange import SolveConfig, SupportResult, min_real_value, polish_dual
+from .crange import FLAG_GAP, SolveConfig, SupportResult, min_real_value, polish_dual
 from .errors import MatrixParseError, NotDecomposableError
 
 MARGIN_TOL = 1e-9
@@ -33,7 +33,8 @@ TRACE_TOL = 1e-9
 
 @dataclass
 class NonnegativityResult:
-    """Certified verdict on whether the range lies in [0, inf)."""
+    """Verdict on whether the range lies in [0, inf): certified unless
+    flags holds gap_not_closed."""
 
     nonnegative: bool
     margin: float  # certified lower bound on the minimum of the range
@@ -42,7 +43,10 @@ class NonnegativityResult:
 
     @property
     def flags(self) -> tuple[str, ...]:
-        return self.support.flags
+        """The support solve's flags, and gap_not_closed if the verdict is
+        open: nonnegative with a margin below -1e-9."""
+        open_ = self.nonnegative and self.margin < -MARGIN_TOL and FLAG_GAP not in self.support.flags
+        return self.support.flags + ((FLAG_GAP,) if open_ else ())
 
 
 @dataclass
@@ -86,12 +90,22 @@ def nonnegativity_test(a, cfg: SolveConfig = SolveConfig()) -> NonnegativityResu
     """Screen the imaginary part, then certify the sign of the range minimum.
 
     margin is the dual lower bound on the minimum; the verdict is
-    margin >= -1e-9.  Raises RangeNotRealError when the range is not real.
+    margin >= -1e-9.  A margin below that while the witness attains -1e-9
+    or more is first tightened, by polish_dual with stop_tol 1e-9 / 4.  The
+    range is called negative only if the witness attains below 0; a
+    margin still below -1e-9 with a witness at 0 or above leaves the
+    verdict open: nonnegative, with the gap_not_closed flag.  Raises
+    RangeNotRealError when the range is not real.
     """
     res = min_real_value(a, cfg)
+    if -float(np.mean(res.dual_y)) < -MARGIN_TOL <= res.minimum:
+        s = matcore.hermitian_parts(matcore.as_matrix(a))[0]
+        y = polish_dual(-s, res.dual_y, res.value, stop_tol=MARGIN_TOL / 4.0)
+        if np.mean(y) < np.mean(res.dual_y):
+            res = replace(res, dual_y=y, gap=float(np.mean(y)) - res.value)
     margin = -float(np.mean(res.dual_y))
     return NonnegativityResult(
-        nonnegative=margin >= -MARGIN_TOL,
+        nonnegative=margin >= -MARGIN_TOL or res.minimum >= 0.0,
         margin=margin,
         attained=res.minimum,
         support=res,
@@ -102,11 +116,12 @@ def decompose(a, cfg: SolveConfig = SolveConfig()) -> Decomposition:
     """Construct the PSD + trace-zero-diagonal split, or prove none exists.
 
     The dual diagonal comes from the same solve that certifies the range
-    minimum, through one polish_dual call: if that dual is more than
-    cfg.tol / 4 from the attained minimum, the barrier path tightens it.  A
-    gap on the primal side is one the path cannot close, and its end point
-    can then be worse than the certified dual; the better of the two is
-    kept, so that P inherits at least the certified margin.
+    minimum (tightened there if the verdict needed it), through one more
+    polish_dual call: if that dual is more than cfg.tol / 4 from the
+    attained minimum, the barrier path tightens it.  A gap on the primal
+    side is one the path cannot close, and its end point can then be worse
+    than the certified dual; the better of the two is kept, so that P
+    inherits at least the certified margin.
     """
     a = matcore.as_matrix(a)
     nn = nonnegativity_test(a, cfg)

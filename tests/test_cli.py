@@ -1,5 +1,6 @@
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,23 @@ def test_decompose_indefinite_exits_nonzero(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["result"]["decomposable"] is False
     assert payload["result"]["margin"] == pytest.approx(-1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("open_", [False, True], ids=["closed", "open"])
+def test_decompose_singular_psd_is_decomposable(tmp_path, monkeypatch, open_):
+    # the 3 x 3 all-ones matrix is its own PSD part; at --tol 1e-6 its dual
+    # margin must be tightened before the verdict, and a margin left open
+    # is reported as such, exit 3 under --strict, never as not decomposable
+    if open_:
+        monkeypatch.setattr(sys.modules["cnr.decompose"], "polish_dual", lambda h, y0, target, stop_tol: y0)
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps(jsonio.matrix_obj(np.ones((3, 3)))))
+    out = tmp_path / "d.json"
+    args = ["decompose", "--tol", "1e-6", "--input", str(path), "--out", str(out), "--strict"]
+    assert main(args) == (3 if open_ else 0)
+    payload = json.loads(out.read_text())
+    assert payload["result"]["decomposable"] is True
+    assert payload["flags"] == (["gap_not_closed"] if open_ else [])
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -584,3 +585,100 @@ def test_certified_witness_is_never_outside(seed, n, k):
     res = crange.support_direction(a, 2.0 * np.pi * (k + 0.5) / 16)
     if res.certified:
         assert crange.contains(a, res.witness_point, 16).contains
+
+
+@pytest.fixture
+def path_trace(monkeypatch):
+    """Each row's Newton steps on the centred barrier path while a test runs,
+    as (mu, decrement) pairs, a scalar path counting as one row.  Rows of a
+    stack are told apart by the indices that stop receives once per round;
+    trace["rounds"] counts the rounds, and a round whose stacked Newton
+    system was singular records NaN decrements."""
+    trace = {"rows": {}, "rounds": 0}
+    centred_path = crange._centred_path
+
+    def path(slack, newton, x, mu, stop, level=None):
+        if x.ndim == 1:
+            row = trace["rows"].setdefault(len(trace["rows"]), [])
+
+            def recorded(w, mu):
+                grad, dx = newton(w, mu)
+                row.append((mu, -float(grad @ dx)))
+                return grad, dx
+
+            return centred_path(slack, recorded, x, mu, stop, level)
+        base, rounds, alone = len(trace["rows"]), [], []
+
+        def stacked(w, mu):
+            if alone:  # the stacked system was singular: each is solved alone
+                return newton(w, mu)
+            trace["rounds"] += 1
+            try:
+                grad, dx = newton(w, mu)
+            except np.linalg.LinAlgError:
+                alone.append(True)
+                rounds.append((mu.copy(), np.full(len(mu), np.nan)))
+                raise
+            rounds.append((mu.copy(), -np.einsum("ij,ij->i", grad, dx)))
+            return grad, dx
+
+        def recorded_stop(mu, k):
+            alone.clear()
+            for j, m, decrement in zip(k, *rounds[-1]):
+                trace["rows"].setdefault(base + int(j), []).append((m, decrement))
+            return stop(mu, k)
+
+        return centred_path(slack, stacked, x, mu, recorded_stop)
+
+    monkeypatch.setattr(crange, "_centred_path", path)
+    return trace
+
+
+def _check_long_steps(steps):
+    """A path's steps follow the long-step rule: every level but the last ends
+    at its first step with lam <= 1/4, the last at a decrement of at most
+    PATH_TOL mu, or at a step that does not lower the decrement."""
+    levels = {}  # decrements by mu, which shrinks from level to level
+    for mu, decrement in steps:
+        levels.setdefault(mu, []).append(decrement)
+    *early, (mu, final) = levels.items()
+    for mu_k, decrements in early:
+        lam = np.sqrt(np.maximum(np.array(decrements) / mu_k, 0.0))
+        assert (lam[:-1] > 0.25).all() and lam[-1] <= 0.25
+    assert final[-1] <= crange.PATH_TOL * mu or (len(final) > 1 and final[-1] >= final[-2])
+    return len(levels)
+
+
+def test_polish_dual_takes_long_steps(path_trace):
+    # one scalar path and one stack of eight matrices with a zero matrix,
+    # which keeps its repaired start and takes no step
+    test_polish_dual_ends_centred_and_interior(*HARD_DIRECTIONS[0])
+    assert len(path_trace["rows"]) == 1
+    test_stacked_repair_and_polish_match_each_matrix()
+    rows = path_trace["rows"]
+    assert len(rows) == 1 + 8 + 8  # scalar, then the stack, then its scalar checks
+    assert all(_check_long_steps(steps) >= 3 for steps in rows.values())
+
+
+def test_grid_takes_few_stacked_rounds(path_trace):
+    crange.range_boundary(_boundary_input(1, 0), 32)
+    assert path_trace["rounds"] <= 17
+    assert all(_check_long_steps(steps) >= 3 for steps in path_trace["rows"].values())
+
+
+def test_stalled_levels_end_early(path_trace):
+    # the input of test_contains_accounts_for_refinement_solves at tol =
+    # 1e-12: the last levels of these scalar solves, and of some rows of its
+    # grid, reach a mu that rounding cannot resolve, where a full step stops
+    # lowering the decrement or rounding absorbs a damped step whole; such
+    # levels ran to the 100-step safety stop
+    rng = np.random.default_rng(10)
+    n = int(rng.integers(3, 9))
+    a = matcore.ginibre_random(n, rng)
+    cfg = crange.SolveConfig(tol=1e-12)
+    for k in (14, 23, 24, 31):
+        assert crange.support_direction(a, 2.0 * np.pi * k / 32, cfg).certified
+    assert crange.range_boundary(a, 32, cfg).flags() == ()
+    rows = path_trace["rows"].values()
+    assert len(rows) >= 4 + 32  # and a scalar solve for each grid bracket left open
+    assert max(max(Counter(mu for mu, _ in steps).values()) for steps in rows) <= 20

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,40 @@ def test_certificate_json_round_trip():
     assert verify_certificate(a, back).valid
     for q1, q2 in zip(cert.coeffs, back.coeffs):
         assert np.allclose(q1, q2)
+
+
+def _rank_one():
+    rng, rng_im = np.random.default_rng(0), np.random.default_rng(100)
+    v = rng.standard_normal(3) + 1j * rng_im.standard_normal(3)
+    return np.outer(v, v.conj())
+
+
+# singular PSD inputs whose support solve certifies at tol while its dual
+# margin, -2.7e-8 and -5.0e-9, is below -1e-9; the witness attains 0 to
+# rounding, so only the dual keeps the verdict open
+SINGULAR_PSD = [(np.ones((3, 3), dtype=complex), 1e-6), (_rank_one(), 1e-8)]
+
+
+@pytest.mark.parametrize("a,tol", SINGULAR_PSD, ids=["ones", "rank-1"])
+def test_singular_psd_is_decomposable(a, tol):
+    cfg = crange.SolveConfig(tol=tol)
+    res = crange.min_real_value(a, cfg)
+    assert res.certified and -np.mean(res.dual_y) < -1e-9 <= res.minimum
+    nn = nonnegativity_test(a, cfg)
+    assert nn.nonnegative and nn.margin >= -1e-9 and nn.flags == ()
+    dec = decompose(a, cfg)
+    assert dec.flags == () and dec.margin >= -1e-9
+    assert matcore.frobenius(dec.P + dec.D - a) <= 1e-9
+    assert matcore.lambda_min(dec.P) >= -1e-9
+
+
+def test_straddling_margin_is_open_not_negative(monkeypatch):
+    # a dual the path cannot tighten leaves the bracket [margin, attained]
+    # across -1e-9 with a witness at 0: the verdict is open, not negative
+    monkeypatch.setattr(sys.modules["cnr.decompose"], "polish_dual", lambda h, y0, target, stop_tol: y0)
+    a, tol = SINGULAR_PSD[0]
+    cfg = crange.SolveConfig(tol=tol)
+    nn = nonnegativity_test(a, cfg)
+    assert nn.nonnegative and nn.margin < -1e-9 <= 0.0 <= nn.attained
+    assert nn.support.flags == () and nn.flags == ("gap_not_closed",)
+    assert decompose(a, cfg).flags == ("gap_not_closed",)

@@ -280,3 +280,34 @@ def test_kappa_search_keeps_best_ratio(monkeypatch, name):
         assert np.array_equal(est.witness, (seen[best] - np.diag(d)) / 2.0)
     below = "ratio_below_proven_lower_bound" in est.flags
     assert below == (est.best_ratio < 1.0 / 14.0)
+
+
+def test_seminorm_level_hook_sees_centred_levels(monkeypatch):
+    # the hook reads a dual bound at every level, so every level is centred
+    # to a decrement of PATH_TOL mu, never ended at its first full step
+    from cnr.crange import PATH_TOL
+
+    centred_path = metrics._centred_path
+    seen = []
+
+    def path(slack, newton, x, mu, stop, level):
+        steps = []
+
+        def recorded(w, mu):
+            grad, dx = newton(w, mu)
+            steps.append((mu, -float(grad @ dx)))
+            return grad, dx
+
+        def checked_level(w):
+            mu, decrement = steps[-1]
+            seen.append(decrement <= PATH_TOL * mu)
+            level(w)
+
+        return centred_path(slack, recorded, x, mu, stop, checked_level)
+
+    monkeypatch.setattr(metrics, "_centred_path", path)
+    test_seminorm_centres_slow_levels()
+    for n in (4, 8, 16):
+        for sparse in (False, True):
+            test_seminorm_bracket(n, sparse)
+    assert len(seen) > 100 and all(seen)

@@ -11,19 +11,20 @@ an SDP over the elliptope.  Each solve returns two-sided bounds: the feasible
 maximizer B gives the attained value (lower bound), and a real diagonal y
 with diag(y) - H PSD gives the upper bound mean(y).
 
-A grid of directions (range_boundary) is one stacked solve: a long-step
-log-det barrier path on the dual of every direction at once (polish_dual
-on a stack, on the path routine _centred_path that the seminorm also
-follows), whose centred interior end points also yield the primals.  Each
-direction follows its own path, so no grid sample depends on another or on
-the order of the directions.  One direction, as the golden-section refinement of
-radius and contains solves it, runs one chunk of block-coordinate ascent on
-a unit-vector Gram factor of B, from B = I or from the previous
-direction's maximizer, against its slackness dual; an open bracket goes to
-the same barrier path for that one matrix.  The refinement chains its
-solves, and a rank-deficient start can stall its ascent (a row update keeps
-the rows in the span of the current ones); the bracket that leaves open
-goes to polish_dual as above.  Solves are deterministic and take no seed.
+A cold solve follows a long-step log-det barrier path on the dual
+(polish_dual, on the path routine _centred_path that the seminorm also
+follows), whose centred interior end point also yields the primal.  A grid
+of directions (range_boundary) is one stacked path, on which each direction
+follows its own path, so no grid sample depends on another or on the order
+of the directions; one direction, as decompose's minimum at theta = pi, is
+the path of one matrix.  A warm solve, as the golden-section refinement of
+radius and contains chains them, runs one chunk of block-coordinate ascent
+on a unit-vector Gram factor of B from the previous direction's maximizer,
+against its slackness dual; an open bracket, as a rank-deficient start
+leaves one (a row update keeps the rows in the span of the current ones),
+goes to the barrier path for that one matrix.  A cold bracket that the
+barrier's primal leaves open (seen only near a sub-precision tol) takes the
+warm solve from that primal.  Solves are deterministic and take no seed.
 """
 
 from __future__ import annotations
@@ -429,7 +430,7 @@ def polish_dual(h, y0, target, stop_tol):
         return y
 
     def newton(w, mu):
-        grad = 1.0 / n - mu * np.diag(w).real
+        grad = 1.0 / n - mu * w.diagonal().real
         return grad, np.linalg.solve(mu * np.abs(w) ** 2, -grad)
 
     try:  # strictly interior start: gap exceeds the rounding floor
@@ -467,41 +468,54 @@ def support_direction(
 ) -> SupportResult | SupportResults:
     """Certified support value of the range of A in direction theta.
 
-    One ascent chunk is checked against its slackness dual; it starts from
-    B = I or, if start (the solve of a nearby direction) is given, from a
-    copy of start's Gram rows, which must be n x n, else ValueError.  If
-    that bracket is open, polish_dual's barrier path tightens the dual, and
-    a second ascent chunk from its interior primal tightens the primal.  The
-    result keeps the better primal, and the polished dual unless the repaired
-    one is lower by more than the rounding floor; it is flagged
-    gap_not_closed if they are still more than cfg.tol apart.
-
-    A 1-D array theta is solved as one stack by _support_stack, which returns
-    one SupportResult per angle and takes no start.  One direction is faster
-    on the ascent above, many on the stacked barrier path."""
+    Without start the solve is cold and takes _barrier_solve's barrier path:
+    a 1-D array theta as one stack, with one SupportResult per angle, and a
+    scalar theta as one matrix.  start, the solve of a nearby direction,
+    makes the solve of a scalar theta warm: _ascent_solve from a copy of
+    start's Gram rows, which must be n x n, else ValueError.  Either way a
+    bracket wider than cfg.tol, rounding floor included, is flagged
+    gap_not_closed."""
     a = matcore.as_matrix(a)
-    if np.ndim(theta) == 1:
-        if start is not None:
-            raise ValueError("start is for a single theta")
-        return _support_stack(a, np.asarray(theta, dtype=float), cfg)
-    n = a.shape[0]
+    one = np.ndim(theta) == 0
+    thetas = np.array([float(theta)]) if one else np.asarray(theta, dtype=float)
     if start is None:
-        v0 = np.eye(n, dtype=np.complex128)
-    elif start.maximizer.vectors.shape == (n, n):
-        v0 = np.array(start.maximizer.vectors, dtype=np.complex128)  # _ascend writes its rows
-    else:
+        results = _barrier_solve(a, thetas, cfg)
+        return results[0] if one else results
+    if not one:
+        raise ValueError("start is for a single theta")
+    n = a.shape[0]
+    if start.maximizer.vectors.shape != (n, n):
         raise ValueError(f"start's maximizer must be {n} x {n}, got shape {start.maximizer.vectors.shape}")
-    h = rotated_hermitian_part(a, theta)
-    # B's unit diagonal makes diag(H) add mean(d) to every value; solving
-    # without it keeps its rounding out of diag(y) - H and of the gap
-    d = np.diag(h).real
-    h = h - np.diag(d)
-    floor = _rounding_floor(h)  # certify a gap of tol only with rounding counted
+    h, d, floor = _bare_parts(a, thetas)
+    v0 = np.array(start.maximizer.vectors, dtype=np.complex128)  # _ascend writes its rows
+    v, value, y = _ascent_solve(h[0], v0, cfg.tol, floor[0])
+    return _results(a, thetas, d, floor, v[None], np.array([value]), y[None], cfg)[0]
 
-    v, value = _ascend(h, v0)
+
+def _bare_parts(a, thetas):
+    """(H, d, floor) for the angles thetas: the stack of H_k = Re(exp(-i
+    theta_k) A) without its diagonal d_k, and their rounding floors.  B's
+    unit diagonal makes diag(H_k) add mean(d_k) to every value; solving
+    without it keeps its rounding out of diag(y) - H and of the gap."""
+    s, k = matcore.hermitian_parts(a)
+    h = np.cos(thetas)[:, None, None] * s + np.sin(thetas)[:, None, None] * k
+    d = np.diagonal(h, axis1=1, axis2=2).real
+    h = h - d[..., None] * np.eye(a.shape[0])
+    return h, d, _rounding_floor(h)
+
+
+def _ascent_solve(h, v, tol, floor):
+    """Warm solve of H without its diagonal from the Gram rows v, which it
+    overwrites: one ascent chunk, checked against its repaired slackness
+    dual.  If that bracket is open (gap + floor above tol), polish_dual's
+    barrier path tightens the dual, and a second ascent chunk from its
+    interior primal tightens the primal.  Returns (v, value, y): the better
+    primal, and the polished dual unless the repaired one is lower by more
+    than the rounding floor."""
+    v, value = _ascend(h, v)
     y = repair_dual(h, np.sum((h @ v) * v.conj(), axis=1).real)
-    if float(np.mean(y)) - value + floor > cfg.tol:
-        y_polished = polish_dual(h, y, value, stop_tol=cfg.tol / 4.0)
+    if float(np.mean(y)) - value + floor > tol:
+        y_polished = polish_dual(h, y, value, stop_tol=tol / 4.0)
         # the polished dual has a Cholesky factor, the repaired one need not:
         # keep the repaired one only if it is lower beyond rounding
         if float(np.mean(y_polished)) < float(np.mean(y)) + floor:
@@ -512,17 +526,7 @@ def support_direction(
             v_polished, value_polished = _ascend(h, _primal_rows(g))
             if value_polished > value:
                 v, value = v_polished, value_polished
-
-    gap = float(np.mean(y)) - value
-    return SupportResult(
-        theta=float(theta),
-        value=value + float(np.mean(d)),
-        maximizer=GramFactor(v),
-        witness_point=complex(np.vdot(v, a @ v)) / n,
-        dual_y=y + d,
-        gap=gap,
-        flags=() if gap + floor <= cfg.tol else (FLAG_GAP,),
-    )
+    return v, value, y
 
 
 class SupportResults(list):
@@ -534,30 +538,45 @@ class SupportResults(list):
         return all(s.certified for s in self)
 
 
-def _support_stack(a: np.ndarray, thetas: np.ndarray, cfg: SolveConfig) -> SupportResults:
-    """support_direction at each angle of thetas, from one stacked barrier
-    solve.  B = I attains 0 on every H_k without its diagonal, so the dual
-    is polish_dual(H, 0, 0, cfg.tol / 4), started from repair_dual(H, 0) =
-    lambda_max(H_k) 1.  The primal is the unit-diagonal rescaling of
+def _barrier_solve(a: np.ndarray, thetas: np.ndarray, cfg: SolveConfig) -> SupportResults:
+    """support_direction at each angle of thetas, from the barrier path.
+    B = I attains 0 on every H_k without its diagonal, so the dual is
+    polish_dual(H, 0, 0, cfg.tol / 4), started from repair_dual(H, 0) =
+    lambda_max(H_k) 1: one stacked path, or the path of one matrix if there
+    is one angle.  The primal is the unit-diagonal rescaling of
     (diag(y_k) - H_k)^-1, or B = I where that has no Cholesky factor (a dual
     left on the cone's boundary, as for H_k = 0) or attains less than 0.
-    Certified as support_direction certifies, with the same rounding floor."""
+    Near a sub-precision tol that primal can leave the bracket open; the
+    direction then takes _ascent_solve from it, and keeps the better primal
+    and the barrier's factorable dual unless the ascent's is lower by more
+    than the rounding floor."""
     n = a.shape[0]
-    s, k = matcore.hermitian_parts(a)
-    h = np.cos(thetas)[:, None, None] * s + np.sin(thetas)[:, None, None] * k
-    d = np.diagonal(h, axis1=1, axis2=2).real
-    h = h - d[..., None] * np.eye(n)
-    floor = _rounding_floor(h)
-    y = polish_dual(h, 0.0, 0.0, cfg.tol / 4.0)
+    h, d, floor = _bare_parts(a, thetas)
+    y = polish_dual(h[0] if len(h) == 1 else h, 0.0, 0.0, cfg.tol / 4.0).reshape(d.shape)
     g, ok = _inverse_factors(_slack(y, h))
     v = np.broadcast_to(np.eye(n, dtype=np.complex128), h.shape).copy()
     v[ok] = _primal_rows(g[ok])
     value = np.sum(v.conj() * (h @ v), axis=(1, 2)).real / n
     v[value < 0.0], value = np.eye(n), np.maximum(value, 0.0)
+    for j in np.flatnonzero(np.mean(y, axis=1) - value + floor > cfg.tol):
+        v_j, value_j, y_j = _ascent_solve(h[j], v[j].copy(), cfg.tol, floor[j])
+        if value_j > value[j]:
+            v[j], value[j] = v_j, value_j
+        if np.mean(y_j) < np.mean(y[j]) - floor[j]:
+            y[j] = y_j
+    return _results(a, thetas, d, floor, v, value, y, cfg)
+
+
+def _results(a, thetas, d, floor, v, value, y, cfg: SolveConfig) -> SupportResults:
+    """The SupportResult of each angle k, from its solve on H_k without its
+    diagonal d_k (_bare_parts): the Gram rows v_k, attaining value_k, and
+    the dual y_k.  Certified if the gap plus the rounding floor is at most
+    cfg.tol."""
+    n = a.shape[0]
     gap = np.mean(y, axis=1) - value
-    value += np.mean(d, axis=1)
+    value = value + np.mean(d, axis=1)
     witness = np.sum(v.conj() * (a @ v), axis=(1, 2)) / n
-    stacked = (
+    return SupportResults(
         SupportResult(
             theta=float(thetas[j]),
             value=float(value[j]),
@@ -568,12 +587,6 @@ def _support_stack(a: np.ndarray, thetas: np.ndarray, cfg: SolveConfig) -> Suppo
             flags=() if gap[j] + floor[j] <= cfg.tol else (FLAG_GAP,),
         )
         for j in range(len(thetas))
-    )
-    # near a sub-precision tol the barrier's primal can fall short; a bracket
-    # left open gets the one-direction solve from that primal, if narrower
-    return SupportResults(
-        r if r.certified else min(r, support_direction(a, r.theta, cfg, start=r), key=lambda s: s.gap)
-        for r in stacked
     )
 
 

@@ -115,13 +115,10 @@ def nonnegativity_test(a, cfg: SolveConfig = SolveConfig()) -> NonnegativityResu
 def decompose(a, cfg: SolveConfig = SolveConfig()) -> Decomposition:
     """Construct the PSD + trace-zero-diagonal split, or prove none exists.
 
-    The dual diagonal comes from the same solve that certifies the range
-    minimum (tightened there if the verdict needed it), through one more
-    polish_dual call: if that dual is more than cfg.tol / 4 from the
-    attained minimum, the barrier path tightens it.  A gap on the primal
-    side is one the path cannot close, and its end point can then be worse
-    than the certified dual; the better of the two is kept, so that P
-    inherits at least the certified margin.
+    The dual diagonal is the one of the solve that certifies the range
+    minimum (tightened there if the verdict needed it): that solve already
+    ends on the barrier path polish_dual follows, with the same stop rule,
+    so P inherits its certified margin as it is.
     """
     a = matcore.as_matrix(a)
     nn = nonnegativity_test(a, cfg)
@@ -134,8 +131,7 @@ def decompose(a, cfg: SolveConfig = SolveConfig()) -> Decomposition:
             margin=nn.margin,
         )
     # feasible dual for S - diag(y) >= 0, mean(y) = certified lower bound
-    polished = polish_dual(-s, nn.support.dual_y, -nn.attained, stop_tol=cfg.tol / 4.0)
-    y = -min(polished, nn.support.dual_y, key=np.mean)
+    y = -nn.support.dual_y
     mean_y = float(np.mean(y))
     p = s - np.diag(y) + mean_y * np.eye(len(y))
     d = np.diag(y - mean_y).astype(np.complex128) + 1j * np.diag(np.diag(k))

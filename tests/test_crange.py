@@ -81,11 +81,15 @@ def test_support_determinism():
 
 
 def test_gap_not_closed_flagging():
+    # a tol below the rounding floor is flagged, though the barrier path
+    # and the ascent from its primal close this bracket to within the floor
     a = matcore.ginibre_random(5, np.random.default_rng(8))
     cfg = crange.SolveConfig(tol=1e-16)
-    res = crange.support_direction((a + a.conj().T) / 2.0, 0.0, cfg)
+    h = (a + a.conj().T) / 2.0
+    res = crange.support_direction(h, 0.0, cfg)
     assert not res.certified and "gap_not_closed" in res.flags
-    assert res.gap > 1e-16  # still a valid two-sided bracket
+    assert 0.0 <= res.gap <= crange._rounding_floor(h - np.diag(np.diag(h)))  # still a valid two-sided bracket
+    np.linalg.cholesky(np.diag(res.dual_y) - h)
 
 
 def test_sub_precision_bracket_keeps_factored_dual():
@@ -350,24 +354,27 @@ def test_polish_dual_path_stays_in_the_cone(path_counts):
 
 
 def test_sub_precision_polish_halves_steps(path_counts, monkeypatch):
-    # at tol = 1e-16 the path runs to mu far below what its Newton steps
-    # resolve, and some damped steps leave the cone and are halved; the
-    # end point is still strictly interior, and the bracket stays open
-    rng = np.random.default_rng(0)
+    # at tol = 1e-16 the cold solve's path for one matrix runs to mu far
+    # below what its Newton steps resolve, and some damped steps leave the
+    # cone and are halved; the end point is still strictly interior, and
+    # the bracket stays open
+    rng = np.random.default_rng(4)
     a = matcore.ginibre_random(3, rng)
     theta = rng.uniform(0.0, 2.0 * np.pi)
     polished = []
     polish_dual = crange.polish_dual
 
     def recorded(h, *args, **kwargs):
+        failed = path_counts.failed
         y = polish_dual(h, *args, **kwargs)
-        polished.append(np.diag(y) - h)
+        polished.append((h.shape, path_counts.failed - failed, np.diag(y) - h))
         return y
 
     monkeypatch.setattr(crange, "polish_dual", recorded)
     res = crange.support_direction(a, theta, crange.SolveConfig(tol=1e-16))
-    assert path_counts.failed > 0
-    assert len(polished) == 1 and np.isfinite(np.linalg.cholesky(polished[0])).all()
+    shape, failed, slack = polished[0]  # the barrier path of the cold solve
+    assert shape == (3, 3) and failed > 0
+    assert np.isfinite(np.linalg.cholesky(slack)).all()
     assert not res.certified
 
 
@@ -458,7 +465,7 @@ def test_stalled_warm_start_certifies_through_polish(monkeypatch):
     # seed 1, op 6: chained from theta = 0 on the 32-direction grid, the
     # maximizer of direction 12 has rank 1, and row updates keep the rows in
     # its span, so the ascent of direction 13 from it stalls; polish_dual
-    # closes that bracket, where the cold ascent closes its own
+    # closes that bracket, as the cold solve's one barrier path closes its own
     a = _boundary_input(1, 6)
     start = crange.support_direction(a, 0.0)
     for k in range(1, 13):
@@ -468,8 +475,8 @@ def test_stalled_warm_start_certifies_through_polish(monkeypatch):
     polish = crange.polish_dual
     monkeypatch.setattr(crange, "polish_dual", lambda *args, **kwargs: polished.append(1) or polish(*args, **kwargs))
     theta = 2.0 * np.pi * 13 / 32
-    assert crange.support_direction(a, theta).certified and not polished
-    assert crange.support_direction(a, theta, start=start).certified and len(polished) == 1
+    assert crange.support_direction(a, theta).certified and len(polished) == 1
+    assert crange.support_direction(a, theta, start=start).certified and len(polished) == 2
 
 
 def test_refinement_chains_from_the_grid_sample(monkeypatch):
@@ -493,7 +500,8 @@ def test_refinement_chains_from_the_grid_sample(monkeypatch):
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_warm_refinement_matches_cold(monkeypatch, n):
     # radius_full's and contains' golden sections reach the same objective
-    # value from warm and from cold solves
+    # value from warm (ascent) and from cold (barrier) solves, to within
+    # their largest certified gap and the rounding floor
     a = matcore.ginibre_random(n, np.random.default_rng(5))
     rb = crange.range_boundary(a, 64)
     point = complex(0.1, -0.2)
@@ -502,8 +510,11 @@ def test_warm_refinement_matches_cold(monkeypatch, n):
     solve = crange.support_direction
     monkeypatch.setattr(crange, "support_direction", lambda a, theta, cfg, *, start=None: solve(a, theta, cfg))
     cold = [crange._refine(a, 64, crange.SolveConfig(), rb, f) for f in objectives]
-    for (_, w, _, w_flags), (_, c, _, c_flags) in zip(warm, cold):
-        assert w == pytest.approx(c, rel=1e-12, abs=1e-12) and w_flags == c_flags == ()
+    hs = [crange.rotated_hermitian_part(a, s.theta) for s in rb.samples]
+    floor = max(crange._rounding_floor(h - np.diag(np.diag(h))) for h in hs)
+    for (_, w, w_solves, w_flags), (_, c, c_solves, c_flags) in zip(warm, cold):
+        assert w_flags == c_flags == ()
+        assert abs(w - c) <= max(s.gap for s in w_solves + c_solves) + floor
 
 
 def test_stacked_repair_and_polish_match_each_matrix():
@@ -524,6 +535,45 @@ def test_stacked_repair_and_polish_match_each_matrix():
         assert abs(np.mean(polished[j]) - np.mean(p)) <= stop_tol
         assert np.linalg.eigvalsh(np.diag(polished[j]) - h[j])[0] >= -1e-12
     np.testing.assert_array_equal(polished[-1], np.zeros(4))
+
+
+def _cold_cases(n):
+    """(A, theta) pairs at size n: the benchmark's split recipe at theta = pi,
+    the Hermitian part of P + D (P = Z Z* / n, D a trace-zero diagonal,
+    real plus imaginary) and of P + D - c I with c > tr(P) / n, then a
+    Ginibre matrix at three angles."""
+    rng = np.random.default_rng(n)
+    z = matcore.ginibre_random(n, rng)
+    p = z @ z.conj().T / n
+    d_re, d_im = rng.standard_normal(n), rng.standard_normal(n)
+    a = p + np.diag(d_re - d_re.mean()) + 1j * np.diag(d_im - d_im.mean())
+    c = 1.3 * np.trace(p).real / n
+    cases = [(matcore.hermitian_parts(b)[0], np.pi) for b in (a, a - c * np.eye(n))]
+    return cases + [(matcore.ginibre_random(n, rng), theta) for theta in (0.3, 2.0, np.pi)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_one_direction_matches_the_stack(n):
+    # a scalar theta and a stack of one angle take polish_dual's path for one
+    # matrix; a stack of two the stacked path; every solve certifies, and
+    # the stack's duals and brackets agree with the scalar solve's to within
+    # the rounding floor
+    for a, theta in _cold_cases(n):
+        h = crange.rotated_hermitian_part(a, theta)
+        floor = crange._rounding_floor(h - np.diag(np.diag(h)))
+        one = crange.support_direction(a, theta)
+        alone = crange.support_direction(a, np.array([theta]))[0]
+        assert one.certified and one.value == alone.value and np.array_equal(one.dual_y, alone.dual_y)
+        s = crange.support_direction(a, np.array([theta, theta + 1.0]))[0]
+        assert s.certified and abs(np.mean(s.dual_y) - np.mean(one.dual_y)) <= floor
+        assert s.value <= one.value + one.gap + floor and one.value <= s.value + s.gap + floor
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_certified_cold_solve_runs_no_ascent(monkeypatch, n):
+    monkeypatch.setattr(crange, "_ascend", lambda *args: pytest.fail("an ascent ran"))
+    for a, theta in _cold_cases(n):
+        assert crange.support_direction(a, theta).certified
 
 
 def test_stacked_support_takes_no_start():

@@ -109,29 +109,23 @@ def test_equivalence_and_margin_agreement():
         assert succeeded == nn.nonnegative
 
 
-def test_decompose_polishes_open_support_gap(monkeypatch):
-    # the benchmark's split recipe P + D at n = 4: its support gap g closes
-    # without polish, and at tol = 2g it exceeds tol / 4, so decompose
-    # polishes; the gap lies on the primal side, which the path cannot close
+def test_decompose_margin_is_the_support_dual_bound(monkeypatch):
+    # the benchmark's split recipe P + D at n = 4: the support solve ends on
+    # the barrier path, and decompose takes its dual as it is, running no
+    # polish of its own
     rng = np.random.default_rng(10)
     z = matcore.ginibre_random(4, rng)
     d_re, d_im = rng.standard_normal(4), rng.standard_normal(4)
     a = z @ z.conj().T / 4 + np.diag(d_re - d_re.mean()) + 1j * np.diag(d_im - d_im.mean())
-    g = nonnegativity_test(a).support.gap
-    cfg = crange.SolveConfig(tol=2.0 * g)
-    nn = nonnegativity_test(a, cfg)
-    assert nn.support.certified and nn.support.gap == g
-    paths = []
-    centred_path = crange._centred_path
+    nn = nonnegativity_test(a)
+    assert nn.support.certified and nn.margin > 0.0
 
-    def path(*args):
-        paths.append(args)
-        return centred_path(*args)
+    def polish(*args, **kwargs):
+        pytest.fail("decompose polished")
 
-    monkeypatch.setattr(crange, "_centred_path", path)
-    dec = decompose(a, cfg)
-    assert len(paths) == 1  # the polish ran the barrier path, the support solve did not
-    assert nn.margin <= dec.margin <= nn.margin + cfg.tol
+    monkeypatch.setattr(sys.modules["cnr.decompose"], "polish_dual", polish)
+    dec = decompose(a)
+    assert dec.margin == -float(np.mean(nn.support.dual_y)) == nn.margin
     assert np.linalg.eigvalsh(dec.P)[0] >= -1e-12
     assert verify_certificate(a, sos_certificate(dec)).valid
 
@@ -259,17 +253,19 @@ def _rank_one():
     return np.outer(v, v.conj())
 
 
-# singular PSD inputs whose support solve certifies at tol while its dual
-# margin, -2.7e-8 and -5.0e-9, is below -1e-9; the witness attains 0 to
-# rounding, so only the dual keeps the verdict open
-SINGULAR_PSD = [(np.ones((3, 3), dtype=complex), 1e-6), (_rank_one(), 1e-8)]
+# singular PSD inputs whose support solve certifies at tol, with a witness
+# that attains 0 to rounding; on the all-ones input the dual margin, -2.1e-9,
+# is below -1e-9, so only the dual keeps the verdict open and it is
+# tightened; on the rank-one input the barrier path ends at -5.0e-11
+SINGULAR_PSD = [(np.ones((3, 3), dtype=complex), 1e-6, True), (_rank_one(), 1e-8, False)]
 
 
-@pytest.mark.parametrize("a,tol", SINGULAR_PSD, ids=["ones", "rank-1"])
-def test_singular_psd_is_decomposable(a, tol):
+@pytest.mark.parametrize("a,tol,tightened", SINGULAR_PSD, ids=["ones", "rank-1"])
+def test_singular_psd_is_decomposable(a, tol, tightened):
     cfg = crange.SolveConfig(tol=tol)
     res = crange.min_real_value(a, cfg)
-    assert res.certified and -np.mean(res.dual_y) < -1e-9 <= res.minimum
+    assert res.certified and -1e-9 <= res.minimum
+    assert (-np.mean(res.dual_y) < -1e-9) == tightened
     nn = nonnegativity_test(a, cfg)
     assert nn.nonnegative and nn.margin >= -1e-9 and nn.flags == ()
     dec = decompose(a, cfg)
@@ -282,7 +278,7 @@ def test_straddling_margin_is_open_not_negative(monkeypatch):
     # a dual the path cannot tighten leaves the bracket [margin, attained]
     # across -1e-9 with a witness at 0: the verdict is open, not negative
     monkeypatch.setattr(sys.modules["cnr.decompose"], "polish_dual", lambda h, y0, target, stop_tol: y0)
-    a, tol = SINGULAR_PSD[0]
+    a, tol, _ = SINGULAR_PSD[0]
     cfg = crange.SolveConfig(tol=tol)
     nn = nonnegativity_test(a, cfg)
     assert nn.nonnegative and nn.margin < -1e-9 <= 0.0 <= nn.attained

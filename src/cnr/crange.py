@@ -213,18 +213,19 @@ def _rounding_floor(h: np.ndarray):
 # long-step path (Nesterov and Nemirovski 1994): a level before the last
 # ends at its first full-length Newton step, one of decrement lam <= 1/4,
 # which leaves the iterate in the quadratic region of the next level; the
-# last level, and every level of a path with a level hook, is centred up to
-# and including a step with decrement -grad.step <= PATH_TOL * mu, or one
-# that does not lower the decrement below the step before it (rounding has
-# then stalled the level); then mu shrinks by PATH_SHRINK.  A step that
-# leaves the iterate in place, all of it lost to rounding or none of its
-# trials in the cone, ends any level: the next would repeat it.  PATH_STEPS
-# is only a safety stop: the slowest level seen takes 11 steps, on the
-# seminorm at n <= 16 (benchmark inputs and the masked-sparse input of
-# test_seminorm_centres_slow_levels alike) and on support solves at
-# n <= 32.  A step of Newton decrement lam starts at length 1/(1 + lam)
-# if lam > 1/4, else 1, and is halved, at most 40 times, until it stays in
-# the cone.
+# last level, and on a path with a level hook the level before it, is
+# centred up to and including a step with decrement -grad.step <= PATH_TOL
+# * mu, or one that does not lower the decrement below the step before it
+# (rounding has then stalled the level); then mu shrinks by PATH_SHRINK.  A
+# step that leaves the iterate in place, all of it lost to rounding or none
+# of its trials in the cone, ends any level: the next would repeat it.
+# PATH_STEPS is only a safety stop: the slowest level seen takes 11 steps
+# on support solves at n <= 32; on the seminorm, 10 over the benchmark
+# inputs of seeds 1-12 (n <= 16), 9 on the masked-sparse input of
+# test_seminorm_centres_slow_levels and 24, its second, on a Ginibre n = 64
+# input.  A step of Newton decrement lam starts at length 1/(1 + lam) if
+# lam > 1/4, else 1, and is halved, at most 40 times, until it stays in the
+# cone.
 PATH_TOL = 1e-6
 PATH_STEPS = 100
 PATH_SHRINK = 0.02
@@ -288,10 +289,12 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
     stop(mu) does not hold ends at its first step with lam <= 1/4; the last
     is centred to a decrement of PATH_TOL mu, or until a step in that region
     stops lowering it; a step that leaves x in place ends any level (see
-    PATH_TOL).  With a level hook every level is centred that way, and
-    level(slack(x)^-1) is called after each; it must not modify its
-    argument, which the next Newton system reads.  The path ends once
-    stop(mu) holds.  Returns the last iterate, strictly interior.
+    PATH_TOL).  With a level hook the level before the last, the one where
+    stop(mu * PATH_SHRINK) holds, is centred that way too, and
+    level(slack(x)^-1) is called after each of those two levels alone; it
+    must not modify its argument, which the next Newton system reads.  The
+    path ends once stop(mu) holds.  Returns the last iterate, strictly
+    interior.
 
     A 2-D x is a stack of iterates, one row per matrix, and mu an array of
     their levels; _centred_stack follows each matrix's path on it, and
@@ -305,7 +308,9 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
     w = _gram(g)
     while True:
         last = stop(mu)
-        centre = last or level is not None  # else end at the first full step
+        # the last level is centred, and with a level hook the one before it
+        hooked = level is not None and stop(mu * PATH_SHRINK)
+        centre = last or hooked  # else end at the first full step
         prev = math.inf
         for _ in range(PATH_STEPS):
             try:
@@ -328,7 +333,7 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
             if decrement <= PATH_TOL * mu or (lam <= 0.25 and not (centre and decrement < prev)):
                 break
             prev = decrement
-        if level is not None:
+        if hooked:
             level(w)
         if last:
             return x

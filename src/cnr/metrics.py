@@ -10,9 +10,10 @@ kappa * seminorm <= radius <= seminorm; kappa is bracketed between
 
 The seminorm is computed by one centred log-det barrier solve, on the path
 routine that crange.polish_dual also follows, and certified by a dual bound
-read from the barrier's inverse slack matrix after each level, so each
-result is a bracket lower <= seminorm <= value.  Singular values come from the
-Hermitian dilation, so every eigensolve goes through matcore.hermitian_eigs.
+read from the barrier's inverse slack matrix after its last two levels, so
+each result is a bracket lower <= seminorm <= value.  Singular values come
+from the Hermitian dilation, so every eigensolve goes through
+matcore.hermitian_eigs.
 """
 
 from __future__ import annotations
@@ -101,16 +102,23 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
     shared centred log-det barrier path (crange._centred_path) in the real
     variables (s, Re d, Im d); the pin is two extra rows of the Newton KKT
     system.  The sparsity of the constraint derivatives makes gradient and
-    Hessian assembly O(n^2) from W = Z^-1.
+    Hessian assembly O(n^2) from W = Z^-1: tr(W^2) and the diagonal of
+    (W^2)_21 are read from W without forming W^2.
 
     Returns (value, d, lower) with value attained by d.  For Y, the
     lower-left block of W with its diagonal replaced by its mean,
     tr(Y D) = 0 for every trace-zero diagonal D, so |tr(Y T)| =
-    |tr(Y (T - D))| <= ||Y||_1 ||T - D||: lower is the best |tr(Y T)| / ||Y||_1
-    over the centred levels, read by the path's level hook.  The last level
-    alone is not enough: its slack s - sigma is so small that rounding leaves
-    W's diagonal uneven by up to ~1e-5 relative, and the averaging turns that
-    into a loss of ~1e-6."""
+    |tr(Y (T - D))| <= ||Y||_1 ||T - D||: lower is the better |tr(Y T)| / ||Y||_1
+    of the path's last two levels, the ones it centres and hands to its level
+    hook.  A centred level's bound sits below the value by a gap in
+    proportion to mu, 50 times wider at each earlier level, and on the
+    seminorm benchmark inputs (n <= 16) no earlier level gave the better
+    bound.  The last level alone is not enough: its slack s - sigma is so
+    small that rounding leaves W's diagonal uneven by up to ~1e-5 relative,
+    and the averaging turns that into a loss of ~1e-6.  From n = 32 on the
+    level before it gives the bound; at n = 48 and 64 the level before that
+    would give a better one, yet the Ginibre brackets measured there still
+    close (6.8e-7 relative at n = 64)."""
     n = t.shape[0]
     scale = matcore.frobenius(t)
     s = sigma + max(0.02 * sigma, 1e-4 * scale)
@@ -126,14 +134,13 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
         return x[1 : n + 1] + 1j * x[n + 1 :]
 
     def newton(w, mu):
-        w2 = w @ w
         w21 = w[n:, :n]
         p1 = w21 * w21.T
         p2 = w[:n, :n].T * w[n:, n:]
         g_d = 2.0 * mu * np.conj(np.diag(w21))
         grad = np.concatenate([[1.0 - mu * float(np.trace(w).real)], g_d.real, g_d.imag])
-        hess[0, 0] = mu * float(np.trace(w2).real)
-        h_d = -2.0 * mu * np.conj(np.diag(w2[n:, :n]))
+        hess[0, 0] = mu * np.vdot(w, w).real  # tr(W^2), W Hermitian
+        h_d = -2.0 * mu * np.conj(np.einsum("ik,ki->i", w[n:], w[:, :n]))  # diag((W^2)_21)
         hess[0, 1 : n + 1] = hess[1 : n + 1, 0] = h_d.real
         hess[0, n + 1 :] = hess[n + 1 :, 0] = h_d.imag
         hess[1 : n + 1, 1 : n + 1] = 2.0 * mu * (p1 + p2).real

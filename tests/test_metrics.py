@@ -82,8 +82,8 @@ def test_seminorm_scale(c):
 
 
 def test_seminorm_centres_slow_levels():
-    # masked-sparse n = 16 input whose slowest barrier level takes 11 damped
-    # Newton steps to centre, 41 if each step starts at full length; cut off
+    # masked-sparse n = 16 input whose slowest barrier level takes 9 damped
+    # Newton steps, 25 if each step starts at full length; cut off
     # earlier, the bracket stayed 0.14 wide
     rng = np.random.default_rng([4, 587])
     t = matcore.ginibre_random(16, rng)
@@ -283,15 +283,17 @@ def test_kappa_search_keeps_best_ratio(monkeypatch, name):
 
 
 def test_seminorm_level_hook_sees_centred_levels(monkeypatch):
-    # the hook reads a dual bound at every level, so every level is centred
-    # to a decrement of PATH_TOL mu, never ended at its first full step
+    # one of the last two levels gives the better dual bound, so the hook
+    # reads it there alone, and both are centred to a decrement of PATH_TOL
+    # mu, never ended at their first full step
     from cnr.crange import PATH_TOL
 
     centred_path = metrics._centred_path
-    seen = []
+    seen, hooked = [], []
 
     def path(slack, newton, x, mu, stop, level):
         steps = []
+        hooked.append(0)
 
         def recorded(w, mu):
             grad, dx = newton(w, mu)
@@ -301,6 +303,7 @@ def test_seminorm_level_hook_sees_centred_levels(monkeypatch):
         def checked_level(w):
             mu, decrement = steps[-1]
             seen.append(decrement <= PATH_TOL * mu)
+            hooked[-1] += 1
             level(w)
 
         return centred_path(slack, recorded, x, mu, stop, checked_level)
@@ -310,4 +313,14 @@ def test_seminorm_level_hook_sees_centred_levels(monkeypatch):
     for n in (4, 8, 16):
         for sparse in (False, True):
             test_seminorm_bracket(n, sparse)
-    assert len(seen) > 100 and all(seen)
+    assert hooked == [2] * 19 and all(seen)
+
+
+def test_seminorm_step_budget(path_counts):
+    # levels before the last two end at their first full Newton step: the 18
+    # bracket inputs take 508 steps (642 with every level centred), and each
+    # still agrees
+    for n in (4, 8, 16):
+        for sparse in (False, True):
+            test_seminorm_bracket(n, sparse)
+    assert sum(path_counts.levels) <= 600

@@ -216,29 +216,51 @@ def _rounding_floor(h: np.ndarray):
 # last level, and on a path with a level hook the level before it, is
 # centred up to and including a step with decrement -grad.step <= PATH_TOL
 # * mu, or one that does not lower the decrement below the step before it
-# (rounding has then stalled the level); then mu shrinks by PATH_SHRINK.  A
-# step that leaves the iterate in place, all of it lost to rounding or none
-# of its trials in the cone, ends any level: the next would repeat it.
-# PATH_STEPS is only a safety stop: the slowest level seen takes 11 steps
-# on support solves at n <= 32; on the seminorm, 10 over the benchmark
-# inputs of seeds 1-12 (n <= 16), 9 on the masked-sparse input of
+# (rounding has then stalled the level); then mu shrinks by PATH_SHRINK, but
+# not below the path's floor mu_min.  polish_dual's floor is n mu =
+# _rounding_floor(H) / 4, where its stop rule holds: below it the decrement
+# wanders at rounding, and a last level ran to the safety stop.  A step that
+# leaves the iterate in place, all of it lost to rounding or none of its
+# trials in the cone, ends any level: the next would repeat it.
+#
+# A step of Newton decrement lam starts at length 1/(1 + lam) if lam > 1/4,
+# else 1, and is halved, at most 40 times, until it stays in the cone.  A
+# level's first step can start longer, at PATH_SHRINK (the tangent entry).
+# From a centre of a path that is linear in mu, the Newton step of the next
+# level is 1/PATH_SHRINK times the move to its centre, and its decrement,
+# (1/PATH_SHRINK - 1) times the dual local norm of the barrier's gradient,
+# is the same at every level: 49 where the optimal primal has rank 1
+# (1/(1 + lam) is PATH_SHRINK there) and 69 = 49 sqrt(2) at rank 2, where
+# the damped step covers 71% of the move and a level took 5 to 7 steps.  So
+# a first step whose lam is within ENTRY_TOL of the previous level's first
+# lam starts at PATH_SHRINK if that is longer.  On a path with a level hook
+# the level before the last keeps the damped entry: it is the first level
+# the hook reads, and entered at the tangent the seminorm's brackets widen
+# up to 3 times.  PATH_STEPS is only a safety stop: the slowest level seen
+# takes 11 steps on support solves at n <= 32; on the seminorm, 10 over the
+# benchmark inputs of seeds 1-12 (n <= 16), 9 on the masked-sparse input of
 # test_seminorm_centres_slow_levels and 24, its second, on a Ginibre n = 64
-# input.  A step of Newton decrement lam starts at length 1/(1 + lam) if
-# lam > 1/4, else 1, and is halved, at most 40 times, until it stays in the
-# cone.
+# input.
 PATH_TOL = 1e-6
 PATH_STEPS = 100
 PATH_SHRINK = 0.02
+ENTRY_TOL = 0.05  # relative change of the first lam that takes the tangent entry
+
+
+def _cholesky(m):
+    """Cholesky factor L of the Hermitian matrix m, or NaN if m is not
+    positive definite."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return np.full_like(m, np.nan)
 
 
 def _inverse_factor(m):
     """L^-1 for the Cholesky factor L of the Hermitian matrix m, or None if m
     is not positive definite; numpy factors NaN input into a NaN factor
     without raising, so a factor that is not finite is refused too."""
-    try:
-        c = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return None
+    c = _cholesky(m)
     return np.linalg.inv(c) if np.isfinite(c).all() else None
 
 
@@ -246,13 +268,12 @@ def _inverse_factors(m):
     """_inverse_factor of each matrix of the stack m: (G, ok), ok marking the
     matrices that have a finite Cholesky factor L and G holding their L^-1
     (NaN for the others).  np.linalg.cholesky raises for the whole stack if
-    one matrix is not positive definite; each is then factored alone."""
+    one matrix is not positive definite; each is then factored alone, and
+    those with a factor inverted as one stack."""
     try:
         c = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        gs = [_inverse_factor(mj) for mj in m]
-        ok = np.array([g is not None for g in gs])
-        return np.array([np.full_like(mj, np.nan) if g is None else g for g, mj in zip(gs, m)]), ok
+        c = np.array([_cholesky(mj) for mj in m])
     ok = np.isfinite(c).all(axis=(-2, -1))
     if ok.all():
         return np.linalg.inv(c), ok
@@ -273,7 +294,7 @@ def _primal_rows(g):
     return (g / np.linalg.norm(g, axis=-2, keepdims=True)).conj().swapaxes(-1, -2)
 
 
-def _centred_path(slack, newton, x, mu, stop, level=None):
+def _centred_path(slack, newton, x, mu, stop, level=None, mu_min=0.0):
     """Follow the path of minimizers of c.x - mu logdet(slack(x)), for a cost
     c that only newton sees.
 
@@ -285,34 +306,38 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
     is the step's local norm: the damped step 1/(1 + lam) then stays in the
     Dikin ellipsoid, hence in the cone, and lowers the merit by at least
     mu (lam - ln(1 + lam)) > 0, so no merit is evaluated: a trial step is
-    taken once slack(x) has a finite Cholesky factor.  A level where
-    stop(mu) does not hold ends at its first step with lam <= 1/4; the last
-    is centred to a decrement of PATH_TOL mu, or until a step in that region
-    stops lowering it; a step that leaves x in place ends any level (see
-    PATH_TOL).  With a level hook the level before the last, the one where
-    stop(mu * PATH_SHRINK) holds, is centred that way too, and
+    taken once slack(x) has a finite Cholesky factor.  A level's first step
+    takes the tangent entry, PATH_SHRINK, when its lam is within ENTRY_TOL of
+    the previous level's first lam (see PATH_TOL).  A level where stop(mu)
+    does not hold ends at its first step with lam <= 1/4; the last is
+    centred to a decrement of PATH_TOL mu, or until a step in that region
+    stops lowering it; a step that leaves x in place ends any level.  With a
+    level hook the level before the last, the one where stop holds at the
+    next mu, is centred that way too, keeps the damped entry, and
     level(slack(x)^-1) is called after each of those two levels alone; it
-    must not modify its argument, which the next Newton system reads.  The
-    path ends once stop(mu) holds.  Returns the last iterate, strictly
-    interior.
+    must not modify its argument, which the next Newton system reads.  mu
+    shrinks by PATH_SHRINK from level to level, to no less than mu_min,
+    where stop must hold.  The path ends once stop(mu) holds.  Returns the
+    last iterate, strictly interior.
 
     A 2-D x is a stack of iterates, one row per matrix, and mu an array of
     their levels; _centred_stack follows each matrix's path on it, and
     calls no level hook.
     """
     if x.ndim == 2:
-        return _centred_stack(slack, newton, x, mu, stop)
+        return _centred_stack(slack, newton, x, mu, stop, mu_min)
     g = _inverse_factor(slack(x))
     if g is None:
         raise np.linalg.LinAlgError("the path must start inside the cone")
     w = _gram(g)
+    entry = math.nan  # the previous level's first lam
     while True:
         last = stop(mu)
         # the last level is centred, and with a level hook the one before it
-        hooked = level is not None and stop(mu * PATH_SHRINK)
+        hooked = level is not None and stop(max(mu * PATH_SHRINK, mu_min))
         centre = last or hooked  # else end at the first full step
         prev = math.inf
-        for _ in range(PATH_STEPS):
+        for step in range(PATH_STEPS):
             try:
                 grad, dx = newton(w, mu)
             except np.linalg.LinAlgError:  # Newton system singular at rounding level
@@ -320,6 +345,10 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
             decrement = -float(grad @ dx)
             lam = math.sqrt(max(decrement / mu, 0.0))
             t0 = 1.0 / (1.0 + lam) if lam > 0.25 else 1.0
+            if step == 0:  # the tangent entry, but not on the first hooked level
+                if abs(lam - entry) <= ENTRY_TOL * entry and not (hooked and not last):
+                    t0 = max(t0, PATH_SHRINK)
+                entry = lam
             for t in (t0 * 0.5**k for k in range(40)):
                 x_new = x + t * dx
                 g = _inverse_factor(slack(x_new))
@@ -337,16 +366,18 @@ def _centred_path(slack, newton, x, mu, stop, level=None):
             level(w)
         if last:
             return x
-        mu *= PATH_SHRINK
+        mu = max(mu * PATH_SHRINK, mu_min)
 
 
-def _centred_stack(slack, newton, x, mu, stop):
+def _centred_stack(slack, newton, x, mu, stop, mu_min):
     """_centred_path on a stack: row j of x follows matrix j's path with its
-    own mu[j], Newton decrement, damped step, halving and level ends, as it
+    own mu[j] and floor mu_min[j] (a scalar is every row's), Newton
+    decrement, damped step or tangent entry, halving and level ends, as it
     would alone.  Each round takes one step on every matrix still on the
-    path, its first trial on the whole stack; only the rows whose trial left
-    the cone are halved, on their own.  A matrix leaves at the end of the
-    level where stop holds, and its row is final.
+    path, its first trial on the whole stack; only the rows at a level's
+    first step check for the tangent entry, and only the rows whose trial
+    left the cone are halved, on their own.  A matrix leaves at the end of
+    the level where stop holds, and its row is final.
 
     The callbacks work on the rows still on the path: slack(x, k) and
     stop(mu, k) also receive k, the stack indices of those rows, and
@@ -356,12 +387,15 @@ def _centred_stack(slack, newton, x, mu, stop):
     level; a stacked Cholesky factorisation falls back in the same way
     (_inverse_factors)."""
     x, mu = np.array(x, dtype=float), np.array(mu, dtype=float)
+    mu_min = np.broadcast_to(mu_min, mu.shape).copy()
     k = np.arange(len(x))  # stack indices of the rows still on the path
     g, ok = _inverse_factors(slack(x, k))
     if not ok.all():
         raise np.linalg.LinAlgError("the path must start inside the cone")
     out, w, steps = x.copy(), _gram(g), np.zeros(len(k), dtype=int)
     prev = np.full(len(k), np.inf)  # each row's last decrement on its level
+    entry = np.full(len(k), np.nan)  # each row's first lam on its level before
+    first = np.ones(len(k), dtype=bool)  # the rows at a level's first step
     while k.size:
         try:
             grad, dx = newton(w, mu)
@@ -375,6 +409,10 @@ def _centred_stack(slack, newton, x, mu, stop):
         decrement = -np.einsum("ij,ij->i", grad, dx)
         lam = np.sqrt(np.maximum(decrement / mu, 0.0))
         t = np.where(lam > 0.25, 1.0 / (1.0 + lam), 1.0)
+        # the tangent entry (see PATH_TOL), on the rows at a level's first step
+        tangent = first & (np.abs(lam - entry) <= ENTRY_TOL * entry)
+        t = np.maximum(t, PATH_SHRINK * tangent)
+        entry = np.where(first, lam, entry)
         x_old, x_new = x, x + t[:, None] * dx
         g, ok = _inverse_factors(slack(x_new, k))
         if ok.all():
@@ -400,12 +438,13 @@ def _centred_stack(slack, newton, x, mu, stop):
         idle = (x == x_old).all(axis=1)
         ended = idle | (decrement <= PATH_TOL * mu) | settled | (steps == PATH_STEPS)
         leave = ended & last
-        mu[ended] *= PATH_SHRINK
-        steps[ended], prev = 0, np.where(ended, np.inf, decrement)
+        mu = np.where(ended, np.maximum(mu * PATH_SHRINK, mu_min), mu)
+        steps[ended], prev, first = 0, np.where(ended, np.inf, decrement), ended
         if leave.any():
             out[k[leave]] = x[leave]
             keep = ~leave
-            k, x, w, mu, steps, prev = k[keep], x[keep], w[keep], mu[keep], steps[keep], prev[keep]
+            k, x, w, mu, mu_min = k[keep], x[keep], w[keep], mu[keep], mu_min[keep]
+            steps, prev, entry, first = steps[keep], prev[keep], entry[keep], first[keep]
     return out
 
 
@@ -416,7 +455,8 @@ def polish_dual(h, y0, target, stop_tol):
     repaired warm start shifted up by its gap to target; mu starts at that
     gap / n and the path ends once n mu <= stop_tol / 4, with stop_tol
     floored at 8 n eps (1 + max|H|); only that last level is centred, the
-    ones before end at their first full Newton step.  At a centred point the
+    ones before end at their first full Newton step.  mu never falls below
+    the floor where n mu = 8 n eps (1 + max|H|) / 4.  At a centred point the
     unit-diagonal rescaling of (diag(y) - H)^-1 is a primal within about
     n mu of mean(y).  Returns the repaired warm start if it is within
     stop_tol of target, else the path's end point, which is strictly
@@ -426,11 +466,12 @@ def polish_dual(h, y0, target, stop_tol):
     it would be alone, with y0 broadcast to (m, n) and target to (m,).
     """
     n = h.shape[-1]
-    stop_tol = np.maximum(stop_tol, _rounding_floor(h))
+    floor = _rounding_floor(h)
+    stop_tol = np.maximum(stop_tol, floor)
     y = repair_dual(h, np.broadcast_to(np.asarray(y0, dtype=float), h.shape[:-1]))
     gap = np.mean(y, axis=-1) - target
     if h.ndim == 3:
-        return _polish_stack(h, y, gap, stop_tol)
+        return _polish_stack(h, y, gap, stop_tol, floor)
     if gap <= stop_tol:
         return y
 
@@ -438,32 +479,38 @@ def polish_dual(h, y0, target, stop_tol):
         grad = 1.0 / n - mu * w.diagonal().real
         return grad, np.linalg.solve(mu * np.abs(w) ** 2, -grad)
 
+    # floor <= stop_tol, so mu_min <= mu_stop: the path stops at the floor
+    mu_stop, mu_min = stop_tol / (4.0 * n), floor / (4.0 * n)
     try:  # strictly interior start: gap exceeds the rounding floor
         return _centred_path(
-            lambda y: np.diag(y) - h, newton, y + gap, gap / n,
-            lambda mu: n * mu <= stop_tol / 4.0,
+            lambda y: np.diag(y) - h, newton, y + gap, gap / n, lambda mu: mu <= mu_stop, mu_min=mu_min
         )
     except np.linalg.LinAlgError:  # rounding put the start outside the cone
         return y
 
 
-def _polish_stack(h, y, gap, stop_tol):
+def _polish_stack(h, y, gap, stop_tol, floor):
     """polish_dual's path for the stack h from its repaired duals y, whose
-    gaps and stopping tolerances are one per matrix."""
+    gaps, stopping tolerances and rounding floors are one per matrix."""
     n = h.shape[-1]
     k = np.flatnonzero(gap > stop_tol)
     # rounding can put a shifted start outside the cone: that matrix keeps y
     k = k[_inverse_factors(_slack(y[k] + gap[k, None], h[k]))[1]]
     if not k.size:
         return y
+    neg_h, mu_stop, mu_min = -h[k], stop_tol[k] / (4.0 * n), floor[k] / (4.0 * n)
+
+    def slack(x, j):  # diag(x) - H on rows j of the path, in one gather
+        s = neg_h[j]  # a new contiguous array, so reshape gives a view of it
+        s.reshape(len(j), -1)[:, :: n + 1] += x
+        return s
 
     def newton(w, mu):
         grad = 1.0 / n - mu[:, None] * np.diagonal(w, axis1=1, axis2=2).real
         return grad, np.linalg.solve(mu[:, None, None] * np.abs(w) ** 2, -grad[..., None])[..., 0]
 
     y[k] = _centred_path(
-        lambda x, j: _slack(x, h[k[j]]), newton, y[k] + gap[k, None], gap[k] / n,
-        lambda mu, j: n * mu <= stop_tol[k[j]] / 4.0,
+        slack, newton, y[k] + gap[k, None], gap[k] / n, lambda mu, j: mu <= mu_stop[j], mu_min=mu_min
     )
     return y
 

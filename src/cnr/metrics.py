@@ -118,7 +118,7 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
     and the averaging turns that into a loss of ~1e-6.  From n = 32 on the
     level before it gives the bound; at n = 48 and 64 the level before that
     would give a better one, yet the Ginibre brackets measured there still
-    close (6.8e-7 relative at n = 64)."""
+    close (6.3e-7 relative at n = 64)."""
     n = t.shape[0]
     scale = matcore.frobenius(t)
     s = sigma + max(0.02 * sigma, 1e-4 * scale)

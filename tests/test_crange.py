@@ -153,18 +153,21 @@ def test_contains():
 
 def test_contains_accounts_for_refinement_solves():
     # the point is a grid witness, so the margin is at rounding level; every
-    # grid solve certifies at tol = 1e-12, but refinement solve 34 stays open
-    # with a gap of about 2e-8, which leaves the verdict inconclusive
-    rng = np.random.default_rng(10)
-    n = int(rng.integers(3, 9))
-    a = matcore.ginibre_random(n, rng)
-    cfg = crange.SolveConfig(tol=1e-12)
-    rb = crange.range_boundary(a, 32, cfg)
-    assert rb.flags() == ()
-    res = crange.contains(a, rb.samples[int(rng.integers(32))].witness_point, 32, cfg)
-    assert abs(res.margin) < 1e-12
-    assert res.inconclusive
-    assert res.flags == ("gap_not_closed@34",)
+    # grid solve certifies at tol = 1e-12.  On the first input so does every
+    # refinement solve, and the point is inside; on the second, refinement
+    # solve 35 stays open with a gap of about 2e-9, which leaves the verdict
+    # inconclusive
+    for seed, flags in ((10, ()), (118, ("gap_not_closed@35",))):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        a = matcore.ginibre_random(n, rng)
+        cfg = crange.SolveConfig(tol=1e-12)
+        rb = crange.range_boundary(a, 32, cfg)
+        assert rb.flags() == ()
+        res = crange.contains(a, rb.samples[int(rng.integers(32))].witness_point, 32, cfg)
+        assert abs(res.margin) < 1e-12 and res.contains
+        assert res.inconclusive == bool(flags)
+        assert res.flags == flags
 
 
 def test_boundary_margin():
@@ -354,12 +357,12 @@ def test_polish_dual_path_stays_in_the_cone(path_counts):
 
 
 def test_sub_precision_polish_halves_steps(path_counts, monkeypatch):
-    # at tol = 1e-16 the cold solve's path for one matrix runs to mu far
-    # below what its Newton steps resolve, and some damped steps leave the
-    # cone and are halved; the end point is still strictly interior, and
-    # the bracket stays open
-    rng = np.random.default_rng(4)
-    a = matcore.ginibre_random(3, rng)
+    # at tol = 1e-16 the cold solve's path for one matrix runs down to the
+    # rounding floor; on this input one level's tangent entry (ENTRY_TOL)
+    # leaves the cone and is halved.  The end point is still strictly
+    # interior, and the bracket stays open
+    rng = np.random.default_rng(90)
+    a = matcore.ginibre_random(int(rng.integers(2, 9)), rng)
     theta = rng.uniform(0.0, 2.0 * np.pi)
     polished = []
     polish_dual = crange.polish_dual
@@ -373,7 +376,7 @@ def test_sub_precision_polish_halves_steps(path_counts, monkeypatch):
     monkeypatch.setattr(crange, "polish_dual", recorded)
     res = crange.support_direction(a, theta, crange.SolveConfig(tol=1e-16))
     shape, failed, slack = polished[0]  # the barrier path of the cold solve
-    assert shape == (3, 3) and failed > 0
+    assert shape == (6, 6) and failed > 0
     assert np.isfinite(np.linalg.cholesky(slack)).all()
     assert not res.certified
 
@@ -400,7 +403,7 @@ def test_centred_path_starts_inside_the_cone():
 def test_polish_dual_keeps_warm_start_outside_the_cone(monkeypatch):
     # rounding can put the shifted start outside the cone; the repaired warm
     # start is then returned
-    def outside(*args):
+    def outside(*args, **kwargs):
         raise np.linalg.LinAlgError("the path must start inside the cone")
 
     monkeypatch.setattr(crange, "_centred_path", outside)
@@ -552,13 +555,35 @@ def _cold_cases(n):
     return cases + [(matcore.ginibre_random(n, rng), theta) for theta in (0.3, 2.0, np.pi)]
 
 
+def _split_input():
+    """The split benchmark's n = 8 decomposable input of seed 1, op 4: P + D
+    with P = Z Z* / 8, Z = (N + iN) / sqrt(2), and D a real plus an
+    imaginary trace-zero diagonal; its minimum at theta = pi has a rank-2
+    optimum."""
+    rng = np.random.default_rng([1, 4])
+    z = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) / np.sqrt(2.0)
+    d_re, d_im = rng.standard_normal(8), rng.standard_normal(8)
+    return z @ z.conj().T / 8 + np.diag(d_re - d_re.mean()) + 1j * np.diag(d_im - d_im.mean())
+
+
+def test_rank_two_levels_enter_at_the_tangent(path_counts):
+    # from the fourth level on, each level's first Newton step has nearly
+    # the decrement of the level before (lam about 69 = 49 sqrt(2)), so it
+    # takes length PATH_SHRINK and lands near the next centre; the damped
+    # entry 1/(1 + lam) took 5 to 7 steps per level there
+    res = crange.support_direction(matcore.hermitian_parts(_split_input())[0], np.pi)
+    assert res.certified
+    assert len(path_counts.levels) > 3 and max(path_counts.levels[3:]) <= 3
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 def test_one_direction_matches_the_stack(n):
     # a scalar theta and a stack of one angle take polish_dual's path for one
     # matrix; a stack of two the stacked path; every solve certifies, and
     # the stack's duals and brackets agree with the scalar solve's to within
     # the rounding floor
-    for a, theta in _cold_cases(n):
+    cases = _cold_cases(n) + ([(matcore.hermitian_parts(_split_input())[0], np.pi)] if n == 8 else [])
+    for a, theta in cases:
         h = crange.rotated_hermitian_part(a, theta)
         floor = crange._rounding_floor(h - np.diag(np.diag(h)))
         one = crange.support_direction(a, theta)
@@ -647,7 +672,7 @@ def path_trace(monkeypatch):
     trace = {"rows": {}, "rounds": 0}
     centred_path = crange._centred_path
 
-    def path(slack, newton, x, mu, stop, level=None):
+    def path(slack, newton, x, mu, stop, level=None, mu_min=0.0):
         if x.ndim == 1:
             row = trace["rows"].setdefault(len(trace["rows"]), [])
 
@@ -656,7 +681,7 @@ def path_trace(monkeypatch):
                 row.append((mu, -float(grad @ dx)))
                 return grad, dx
 
-            return centred_path(slack, recorded, x, mu, stop, level)
+            return centred_path(slack, recorded, x, mu, stop, level, mu_min)
         base, rounds, alone = len(trace["rows"]), [], []
 
         def stacked(w, mu):
@@ -678,7 +703,7 @@ def path_trace(monkeypatch):
                 trace["rows"].setdefault(base + int(j), []).append((m, decrement))
             return stop(mu, k)
 
-        return centred_path(slack, stacked, x, mu, recorded_stop)
+        return centred_path(slack, stacked, x, mu, recorded_stop, mu_min=mu_min)
 
     monkeypatch.setattr(crange, "_centred_path", path)
     return trace

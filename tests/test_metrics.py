@@ -97,7 +97,8 @@ def test_seminorm_centres_slow_levels():
 def test_seminorm_path_stays_in_the_cone(path_counts):
     # damped steps of length 1/(1 + lam) stay inside the cone, so the line
     # search spends no factorisation outside it (about 1.6 per Newton step
-    # if each step starts at full length)
+    # if each step starts at full length); tangent entries can leave it, at
+    # 2 failed trials in these 445 steps
     for n in (4, 8, 16):
         for sparse in (False, True):
             test_seminorm_bracket(n, sparse)
@@ -316,10 +317,21 @@ def test_seminorm_level_hook_sees_centred_levels(monkeypatch):
     assert hooked == [2] * 19 and all(seen)
 
 
+@pytest.mark.parametrize("seed", [[1, 40], [7717, 52]])
+def test_seminorm_dense_bracket(seed):
+    # dense 16 x 16 benchmark inputs; the level before the last, the first
+    # the level hook reads, keeps its damped entry: entered at the tangent,
+    # these brackets widen to 2.5e-7 and 1.7e-7 of max |T_ij|
+    rng = np.random.default_rng(seed)
+    t = (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))) / np.sqrt(2.0)
+    res = metrics.correlation_seminorm_full(t)
+    assert res.agreed and res.value - res.lower <= 1e-7 * np.max(np.abs(t))
+
+
 def test_seminorm_step_budget(path_counts):
     # levels before the last two end at their first full Newton step: the 18
-    # bracket inputs take 508 steps (642 with every level centred), and each
-    # still agrees
+    # bracket inputs take 445 steps (508 without tangent entries, 642 with
+    # every level centred), and each still agrees
     for n in (4, 8, 16):
         for sparse in (False, True):
             test_seminorm_bracket(n, sparse)

@@ -11,9 +11,12 @@ kappa * seminorm <= radius <= seminorm; kappa is bracketed between
 The seminorm is computed by one centred log-det barrier solve, on the path
 routine that crange.polish_dual also follows, and certified by a dual bound
 read from the barrier's inverse slack matrix after its last two levels, so
-each result is a bracket lower <= seminorm <= value.  Singular values come
-from the Hermitian dilation, so every eigensolve goes through
-matcore.hermitian_eigs.
+each result is a bracket lower <= seminorm <= value.  The start sigma and
+the returned value are the top eigenvalue of the Hermitian dilation, from
+matcore.hermitian_eigs: read from the SVD instead, every value moves in its
+last bits and the n >= 32 brackets move both ways.  The dual bound's
+nuclear norms only divide a lower bound, and come from the SVD of the n x n
+matrix, with no eigenvectors.
 """
 
 from __future__ import annotations
@@ -86,11 +89,18 @@ def _dilation(x: np.ndarray, s: float = 0.0) -> np.ndarray:
     return z
 
 
-def _singular_values(x: np.ndarray) -> np.ndarray:
-    """Singular values of a square X, ascending: the upper half of the
-    spectrum of its Hermitian dilation (no squared condition number)."""
-    n = x.shape[0]
-    return np.maximum(matcore.hermitian_eigs(_dilation(x)).eigenvalues[n:], 0.0)
+def _sigma_max(x: np.ndarray) -> float:
+    """||X||, the largest singular value of a square X: the top eigenvalue of
+    its Hermitian dilation (no squared condition number).  The start sigma
+    and the returned value of a seminorm solve are read this way."""
+    return float(np.maximum(matcore.hermitian_eigs(_dilation(x)).eigenvalues[-1], 0.0))
+
+
+def _nuclear_norm(y: np.ndarray) -> float:
+    """||Y||_1, the sum of the singular values of a square Y, from LAPACK's
+    SVD of the n x n Y itself: a quarter of the size of its dilation, and no
+    eigenvectors.  Only the dual bound divides by it."""
+    return float(np.linalg.svd(y, compute_uv=False).sum())
 
 
 def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
@@ -149,17 +159,34 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
         hess[n + 1 :, n + 1 :] = 2.0 * mu * (p2 - p1).real
         return grad, np.linalg.solve(kkt, np.concatenate([-grad, [0.0, 0.0]]))[: 2 * n + 1]
 
+    # the slack _dilation(T - diag(d), s), bit for bit, written into a copy
+    # of T's dilation through strided views of its diagonals: s on the main
+    # one, d taken off T's diagonal in the upper block, and the lower block's
+    # diagonal set to the conjugate of the upper's (subtracting conj(d) from
+    # conj(T)'s diagonal would flip the sign of zero imaginary parts)
+    base = _dilation(t)
+    upper_diag = slice(n, 2 * n * n, 2 * n + 1)
+    lower_diag = slice(2 * n * n, None, 2 * n + 1)
+
+    def slack(x):
+        z = base.copy()
+        flat = z.reshape(-1)
+        flat[:: 2 * n + 1] = x[0]
+        flat[upper_diag] -= diagonal(x)
+        flat[lower_diag] = flat[upper_diag].conj()
+        return z
+
     lowers = [0.0]
 
     def level(w):
         y = w[n:, :n].copy()
         np.fill_diagonal(y, np.mean(np.diag(y)))
-        nuclear = float(np.sum(_singular_values(y)))
+        nuclear = _nuclear_norm(y)
         if nuclear > 0.0:
             lowers.append(abs(complex(np.sum(y * t.T))) / nuclear)
 
     x = _centred_path(
-        lambda x: _dilation(t - np.diag(diagonal(x)), x[0]),
+        slack,
         newton,
         np.concatenate([[s], d.real, d.imag]),
         max(s - sigma, 1e-5 * scale),
@@ -167,7 +194,7 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
         level,
     )
     d = diagonal(x)
-    return float(_singular_values(t - np.diag(d))[-1]), d, max(lowers)
+    return _sigma_max(t - np.diag(d)), d, max(lowers)
 
 
 def correlation_seminorm_full(t) -> SeminormResult:
@@ -186,7 +213,7 @@ def correlation_seminorm_full(t) -> SeminormResult:
         return SeminormResult(scale, np.zeros(n, dtype=np.complex128), True, scale)
     t = t / scale
     d = np.diag(t) - np.mean(np.diag(t))
-    sigma = float(_singular_values(t - np.diag(d))[-1])
+    sigma = _sigma_max(t - np.diag(d))
     if sigma <= 1e-13 * matcore.frobenius(t):
         return SeminormResult(scale * sigma, scale * d, sigma <= SEMINORM_TOL, 0.0)
     value, d, lower = _barrier(t, d, sigma)

@@ -540,6 +540,32 @@ def test_stacked_repair_and_polish_match_each_matrix():
     np.testing.assert_array_equal(polished[-1], np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [[13], [0, 31], []])
+def test_failed_stacked_cholesky_is_bisected(monkeypatch, bad):
+    # a 32-stack of positive definite matrices with some made indefinite: a
+    # stacked factorisation that raises is halved, not redone matrix by
+    # matrix (33 factorisations for one failure), and (G, ok) has the bits
+    # of factoring each matrix alone
+    rng = np.random.default_rng(32)
+    z = matcore.ginibre_random(6, rng) + np.zeros((32, 1, 1))
+    m = z @ z.conj().swapaxes(-1, -2) + np.eye(6) * rng.uniform(0.1, 1.0, (32, 1, 1))
+    m[bad] -= 20.0 * np.eye(6)
+    calls, cholesky = [], np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    g, ok = crange._inverse_factors(m)
+    assert len(calls) <= {0: 1, 1: 11, 2: 21}[len(bad)]
+    np.testing.assert_array_equal(ok, [j not in bad for j in range(32)])
+    for j in range(32):
+        alone = crange._inverse_factor(m[j])
+        assert (alone is None) if j in bad else (g[j].tobytes() == alone.tobytes())
+        assert np.isnan(g[j]).all() == (j in bad)
+
+
 def _cold_cases(n):
     """(A, theta) pairs at size n: the benchmark's split recipe at theta = pi,
     the Hermitian part of P + D (P = Z Z* / n, D a trace-zero diagonal,

@@ -336,3 +336,62 @@ def test_seminorm_step_budget(path_counts):
         for sparse in (False, True):
             test_seminorm_bracket(n, sparse)
     assert sum(path_counts.levels) <= 600
+
+
+def _sparse_input(n, rng):
+    """A masked-sparse Ginibre input, as in the seminorm benchmark: its
+    diagonal is zero, so the slack's diagonal blocks carry signed zeros."""
+    t = matcore.ginibre_random(n, rng)
+    mask = rng.random((n, n)) < 2.0 / n
+    np.fill_diagonal(mask, False)
+    return t * mask
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_seminorm_slack_is_built_in_place(monkeypatch, sparse):
+    # the barrier's slack, written into a copy of T's dilation, has the bits
+    # of _dilation(T - diag(d), s), signed zeros included, at the start and
+    # at points with d zero, real or complex
+    centred_path = metrics._centred_path
+    seen = []
+
+    def path(slack, newton, x, mu, stop, level):
+        seen.append((slack, x.copy()))
+        return centred_path(slack, newton, x, mu, stop, level)
+
+    monkeypatch.setattr(metrics, "_centred_path", path)
+    rng = np.random.default_rng([8, sparse])
+    t = _sparse_input(8, rng) if sparse else matcore.ginibre_random(8, rng)
+    metrics.correlation_seminorm_full(t)
+    (slack, x0), = seen
+    t = t / np.max(np.abs(t))
+    real = np.concatenate([x0[:9], np.zeros(8)])
+    for x in (x0, np.concatenate([[x0[0]], np.zeros(16)]), real, x0 + rng.standard_normal(17)):
+        d = x[1:9] + 1j * x[9:]
+        assert slack(x).tobytes() == metrics._dilation(t - np.diag(d), x[0]).tobytes()
+
+
+def test_nuclear_norm_matches_the_dilation():
+    # ||Y||_1 from the SVD of Y against the upper half of its dilation's
+    # spectrum, on rank-deficient Y and on entries up to 1e9, as the level
+    # hook's Y reaches
+    rng = np.random.default_rng(5)
+    u, v = matcore.ginibre_random(8, rng)[:, :2], matcore.ginibre_random(8, rng)[:2]
+    for y in (u @ v, u[:, :1] @ v[:1], 1e9 * matcore.ginibre_random(16, rng)):
+        n = y.shape[0]
+        dilated = np.maximum(matcore.hermitian_eigs(metrics._dilation(y)).eigenvalues[n:], 0.0).sum()
+        assert metrics._nuclear_norm(y) == pytest.approx(dilated, rel=1e-13)
+
+
+def test_seminorm_eigensolves(monkeypatch):
+    # one solve decomposes the dilation twice, for the start sigma and for
+    # the returned value; the level hook's nuclear norms take the SVD
+    calls, eigs = [], matcore.hermitian_eigs
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigs(m)
+
+    monkeypatch.setattr(matcore, "hermitian_eigs", counted)
+    res = metrics.correlation_seminorm_full(matcore.ginibre_random(16, np.random.default_rng(16)))
+    assert res.agreed and calls == [(32, 32)] * 2

@@ -11,21 +11,18 @@ an SDP over the elliptope.  Each solve returns two-sided bounds: the feasible
 maximizer B gives the attained value (lower bound), and a real diagonal y
 with diag(y) - H PSD gives the upper bound mean(y).
 
-A cold solve follows a long-step log-det barrier path on the dual
+Every solve follows a long-step log-det barrier path on the dual
 (polish_dual, on the path routine _centred_path that the seminorm also
 follows), whose centred interior end point also yields the primal.  A grid
 of directions (range_boundary) is one stacked path, on which each direction
 follows its own path, so no grid sample depends on another or on the order
 of the directions; one direction, as decompose's minimum at theta = pi, is
 the path of one matrix.  A warm solve, as the golden-section refinement of
-radius and contains chains them, runs one chunk of block-coordinate ascent
-on a unit-vector Gram factor of B from the previous direction's maximizer,
-against its slackness dual; an open bracket, as a rank-deficient start
-leaves one (a row update keeps the rows in the span of the current ones),
-goes to the barrier path for that one matrix.  A cold bracket that the
-barrier's primal leaves open takes the warm solve from that primal; at tol
-1e-10, a thousand times the rounding floor, that is most directions from
-n = 8 on (see _barrier_solve).  Solves are deterministic and take no seed.
+radius and contains chains them, starts that path from the previous
+direction's dual, against the value of its maximizer.  Where the barrier's
+primal leaves a bracket open (the last level's centring stalls at rank-2
+optima), a primal is recovered from complementary slackness at the final
+dual (_recover).  Solves are deterministic and take no seed.
 """
 
 from __future__ import annotations
@@ -41,8 +38,6 @@ from .errors import RangeNotRealError
 from .geometry import convex_hull, halfplane_polygon
 
 FLAG_GAP = "gap_not_closed"
-IMPROVE_TOL = 1e-13  # ascent plateau: per-sweep gain at or below this
-MAX_SWEEPS = 150  # sweeps per ascent chunk
 DIRECTIONS = 256  # default support grid of boundaries, radius and membership
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -71,10 +66,10 @@ class SolveConfig:
 class SupportResult:
     """Certified solve of one support direction.
 
-    value is attained by the maximizer (lower bound), Gram rows from an
-    ascent chunk or from the barrier's primal; mean(dual_y) is an upper
-    bound, as diag(dual_y) - H is PSD (repaired slackness dual) or positive
-    definite (barrier iterate).
+    value is attained by the maximizer (lower bound): the Gram rows of the
+    barrier's primal, of B = I or the warm start's maximizer, or of a
+    recovered primal; mean(dual_y) is an upper bound, as diag(dual_y) - H is
+    PSD (repaired dual) or positive definite (barrier iterate).
     gap = mean(dual_y) - value.  flags is empty for certified solves: gap
     plus the rounding floor of H's off-diagonal part is at most cfg.tol.
     """
@@ -164,32 +159,6 @@ def rotated_hermitian_part(a: np.ndarray, theta: float) -> np.ndarray:
     """Re(exp(-i theta) A) as a Hermitian matrix."""
     s, k = matcore.hermitian_parts(a)
     return math.cos(theta) * s + math.sin(theta) * k
-
-
-def _ascend(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Block-coordinate ascent on the Gram rows of B.
-
-    Row update: e_i <- c_i / ||c_i|| with c_i the H-weighted sum of the other
-    rows; a zero c_i leaves e_i unchanged (any unit vector is then optimal,
-    keeping the current one is the deterministic tie-break).  Runs until the
-    per-sweep improvement falls to IMPROVE_TOL, at most MAX_SWEEPS sweeps, and
-    returns the rows with their value Re tr(H V V*) / n.
-    """
-    n = h.shape[0]
-    hoff = h.copy()
-    np.fill_diagonal(hoff, 0.0)
-    prev = -np.inf
-    for _ in range(MAX_SWEEPS):
-        for i in range(n):
-            u = hoff[i] @ v
-            nu = math.sqrt(np.vdot(u, u).real)
-            if nu > 0.0:
-                v[i] = u / nu
-        val = float(np.vdot(v, h @ v).real) / n
-        if val - prev <= IMPROVE_TOL:
-            break
-        prev = val
-    return v, val
 
 
 def _slack(y: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -521,30 +490,21 @@ def _polish_stack(h, y, gap, stop_tol, floor):
 def support_direction(
     a, theta, cfg: SolveConfig = SolveConfig(), *, start: SupportResult | None = None
 ) -> SupportResult | SupportResults:
-    """Certified support value of the range of A in direction theta.
-
-    Without start the solve is cold and takes _barrier_solve's barrier path:
-    a 1-D array theta as one stack, with one SupportResult per angle, and a
-    scalar theta as one matrix.  start, the solve of a nearby direction,
-    makes the solve of a scalar theta warm: _ascent_solve from a copy of
-    start's Gram rows, which must be n x n, else ValueError.  Either way a
-    bracket wider than cfg.tol, rounding floor included, is flagged
-    gap_not_closed."""
+    """Certified support value of the range of A in direction theta, from
+    _barrier_solve: a 1-D array theta as one stack, with one SupportResult
+    per angle, and a scalar theta as one matrix.  start, the solve of a
+    nearby direction of the same A, makes the solve of a scalar theta warm;
+    a start for a stack, or of another size, is a ValueError.  A bracket
+    wider than cfg.tol, rounding floor included, is flagged gap_not_closed."""
     a = matcore.as_matrix(a)
     one = np.ndim(theta) == 0
     thetas = np.array([float(theta)]) if one else np.asarray(theta, dtype=float)
-    if start is None:
-        results = _barrier_solve(a, thetas, cfg)
-        return results[0] if one else results
-    if not one:
+    if start is not None and not one:
         raise ValueError("start is for a single theta")
-    n = a.shape[0]
-    if start.maximizer.vectors.shape != (n, n):
-        raise ValueError(f"start's maximizer must be {n} x {n}, got shape {start.maximizer.vectors.shape}")
-    h, d, floor = _bare_parts(a, thetas)
-    v0 = np.array(start.maximizer.vectors, dtype=np.complex128)  # _ascend writes its rows
-    v, value, y = _ascent_solve(h[0], v0, cfg.tol, floor[0])
-    return _results(a, thetas, d, floor, v[None], np.array([value]), y[None], cfg)[0]
+    if start is not None and start.maximizer.n != a.shape[0]:
+        raise ValueError(f"start must solve a {a.shape[0]} x {a.shape[0]} matrix, got n = {start.maximizer.n}")
+    results = _barrier_solve(a, thetas, cfg, start)
+    return results[0] if one else results
 
 
 def _bare_parts(a, thetas):
@@ -559,31 +519,6 @@ def _bare_parts(a, thetas):
     return h, d, _rounding_floor(h)
 
 
-def _ascent_solve(h, v, tol, floor):
-    """Warm solve of H without its diagonal from the Gram rows v, which it
-    overwrites: one ascent chunk, checked against its repaired slackness
-    dual.  If that bracket is open (gap + floor above tol), polish_dual's
-    barrier path tightens the dual, and a second ascent chunk from its
-    interior primal tightens the primal.  Returns (v, value, y): the better
-    primal, and the polished dual unless the repaired one is lower by more
-    than the rounding floor."""
-    v, value = _ascend(h, v)
-    y = repair_dual(h, np.sum((h @ v) * v.conj(), axis=1).real)
-    if float(np.mean(y)) - value + floor > tol:
-        y_polished = polish_dual(h, y, value, stop_tol=tol / 4.0)
-        # the polished dual has a Cholesky factor, the repaired one need not:
-        # keep the repaired one only if it is lower beyond rounding
-        if float(np.mean(y_polished)) < float(np.mean(y)) + floor:
-            y = y_polished
-        # ascent polishes the unit-diagonal rescaling of (diag(y) - H)^-1
-        g = _inverse_factor(np.diag(y_polished) - h)
-        if g is not None:  # else a warm start on the cone's boundary
-            v_polished, value_polished = _ascend(h, _primal_rows(g))
-            if value_polished > value:
-                v, value = v_polished, value_polished
-    return v, value, y
-
-
 class SupportResults(list):
     """The SupportResult of each angle of one stacked solve, in their order;
     certified answers for all of them what it answers for one."""
@@ -593,37 +528,70 @@ class SupportResults(list):
         return all(s.certified for s in self)
 
 
-def _barrier_solve(a: np.ndarray, thetas: np.ndarray, cfg: SolveConfig) -> SupportResults:
+def _barrier_solve(a: np.ndarray, thetas: np.ndarray, cfg: SolveConfig, start=None) -> SupportResults:
     """support_direction at each angle of thetas, from the barrier path.
-    B = I attains 0 on every H_k without its diagonal, so the dual is
-    polish_dual(H, 0, 0, cfg.tol / 4), started from repair_dual(H, 0) =
-    lambda_max(H_k) 1: one stacked path, or the path of one matrix if there
-    is one angle.  The primal is the unit-diagonal rescaling of
-    (diag(y_k) - H_k)^-1, or B = I where that has no Cholesky factor (a dual
-    left on the cone's boundary, as for H_k = 0) or attains less than 0.
-    That primal can leave the bracket open well above the rounding floor;
-    the direction then takes _ascent_solve from it, and keeps the better
-    primal and the barrier's factorable dual unless the ascent's is lower by
-    more than the rounding floor.  On ginibre_random(n, default_rng([n, s]))
-    for s < 5 and 32 directions, tol 1e-8 sends no direction there, and tol
-    1e-10 (rounding floor about 1e-13) sends 57 of 160 at n = 8 and 144 of
-    160 at n = 16; every one closes afterwards.  ROADMAP item 9 replaces the
-    fallback with a primal recovered from complementary slackness."""
+    The dual is polish_dual(H, y0, target, cfg.tol / 4): one stacked path,
+    or the path of one matrix if there is one angle.  Cold, y0 = 0, whose
+    repair is lambda_max(H_k) 1, and target = 0, which B = I attains on
+    every H_k without its diagonal.  Warm, y0 is start's dual less the new
+    diagonal and target the value of start's maximizer on the new H, which
+    attains it.  The primal is the unit-diagonal rescaling of (diag(y_k) -
+    H_k)^-1, or that fallback (I, or start's maximizer) where the rescaling
+    has no Cholesky factor (a dual left on the cone's boundary, as for H_k
+    = 0) or attains less than target.  At rank-2 optima and small mu the
+    last level's centring stalls, and that primal can leave the bracket open
+    well above the rounding floor; only there does _recover take a primal
+    from complementary slackness, kept if it attains more."""
     n = a.shape[0]
     h, d, floor = _bare_parts(a, thetas)
-    y = polish_dual(h[0] if len(h) == 1 else h, 0.0, 0.0, cfg.tol / 4.0).reshape(d.shape)
+    if start is None:
+        v0, y0, target = np.eye(n, dtype=np.complex128), 0.0, 0.0
+    else:
+        v0, y0 = start.maximizer.vectors, start.dual_y - d[0]
+        target = float(np.sum(v0.conj() * (h[0] @ v0)).real) / n
+    y = polish_dual(h[0] if len(h) == 1 else h, y0, target, cfg.tol / 4.0).reshape(d.shape)
     g, ok = _inverse_factors(_slack(y, h))
-    v = np.broadcast_to(np.eye(n, dtype=np.complex128), h.shape).copy()
+    v = np.broadcast_to(v0, h.shape).copy()
     v[ok] = _primal_rows(g[ok])
     value = np.sum(v.conj() * (h @ v), axis=(1, 2)).real / n
-    v[value < 0.0], value = np.eye(n), np.maximum(value, 0.0)
+    v[value < target], value = v0, np.maximum(value, target)
     for j in np.flatnonzero(np.mean(y, axis=1) - value + floor > cfg.tol):
-        v_j, value_j, y_j = _ascent_solve(h[j], v[j].copy(), cfg.tol, floor[j])
+        v_j, value_j = _recover(h[j], y[j])
         if value_j > value[j]:
             v[j], value[j] = v_j, value_j
-        if np.mean(y_j) < np.mean(y[j]) - floor[j]:
-            y[j] = y_j
     return _results(a, thetas, d, floor, v, value, y, cfg)
+
+
+def _recover(h, y):
+    """Primal of H without its diagonal from complementary slackness at the
+    dual y (Alizadeh, Haeberly and Overton, Math. Program. 1997): an optimal
+    B is V M V* for the null space V of the optimal diag(y) - H and some
+    Hermitian PSD M.  With V_r the eigenvectors of the r smallest eigenvalues
+    of diag(y) - H, M solves diag(V_r M V_r*) = 1 by least squares (for the
+    real and imaginary parts of M, whose minimum-norm solution is Hermitian:
+    r^2 free real unknowns), keeps its PSD part, and the rows of V_r M^1/2,
+    normalised, are unit Gram rows, so every candidate is feasible and its
+    value a proven lower bound.  r runs over 1..isqrt(n): extreme points of
+    the elliptope have rank r with r^2 <= n (Pataki, Math. Oper. Res. 1998),
+    and the maximum is attained at one.  Returns the best candidate's rows,
+    zero-padded to n columns, and its value; (None, -inf) if no candidate's
+    rows are all nonzero."""
+    n = h.shape[0]
+    u = matcore.hermitian_eigs(np.diag(y) - h).eigenvectors
+    rows, value = None, -math.inf
+    for r in range(1, math.isqrt(n) + 1):
+        c = (u[:, :r, None] * u[:, None, :r].conj()).reshape(n, r * r)  # diag(V M V*) = c vec(M)
+        m = np.linalg.lstsq(np.hstack([c.real, -c.imag]), np.ones(n), rcond=None)[0]
+        lam, w = np.linalg.eigh((m[: r * r] + 1j * m[r * r :]).reshape(r, r))
+        x = u[:, :r] @ (w * np.sqrt(np.maximum(lam, 0.0)))
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        if not (norms > 0.0).all():
+            continue
+        x /= norms
+        x_value = float(np.sum(x.conj() * (h @ x)).real) / n
+        if x_value > value:
+            rows, value = np.pad(x, ((0, 0), (0, n - r))), x_value
+    return rows, value
 
 
 def _results(a, thetas, d, floor, v, value, y, cfg: SolveConfig) -> SupportResults:

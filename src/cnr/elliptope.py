@@ -24,7 +24,9 @@ UNIT_TOL = 1e-12
 
 @dataclass
 class GramFactor:
-    """Unit vectors e_1..e_n as the rows of an n x n complex array."""
+    """Unit vectors e_1..e_n as the rows of an n x n complex array.  A
+    factor of rank r < n may hold its rows in the first r columns and zeros
+    in the rest, as a primal recovered from complementary slackness does."""
 
     vectors: np.ndarray
 

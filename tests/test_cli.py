@@ -310,8 +310,22 @@ def test_contains_strict_reports_open_solves(tmp_path):
         payload = json.loads(out.read_text(), parse_constant=pytest.fail)
         ks = {int(f.split("@")[1]) for f in payload["flags"] if f.startswith("gap_not_closed@")}
         assert bool(ks) == (code == 3)
-    # the refinement's solves, indexed from m + 1 = 9 on, are among them
-    assert max(ks) > 8 and "inconclusive" in payload["flags"]
+    # the refinement's solves, indexed from m + 1 = 9 on, are among them;
+    # their gaps are below |margin|, so the verdict stays conclusive
+    assert max(ks) > 8 and "inconclusive" not in payload["flags"]
+    assert payload["result"]["contains"] is True
+
+
+def test_tight_range_certifies_every_direction(tmp_path):
+    # the CI 8 x 8 input at tol 1e-12 and 64 directions: the barrier's
+    # primal leaves 20 brackets open far above the rounding floor, and the
+    # primal recovered from complementary slackness closes every one
+    a = np.random.default_rng(8).standard_normal((8, 8, 2)) @ [1.0, 1j]
+    path, out = tmp_path / "a8.json", tmp_path / "r.json"
+    path.write_text(json.dumps(jsonio.matrix_obj(a)))
+    argv = ["range", "--input", str(path), "--tol", "1e-12", "--directions", "64", "--strict", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text(), parse_constant=pytest.fail)["flags"] == []
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnr import crange, matcore, ucrange
-from cnr.elliptope import GramFactor, validate_correlation
+from cnr.elliptope import validate_correlation
 from cnr.errors import RangeNotRealError
 from oracles import random_hermitian, support_2x2_closed, support_2x2_grid
 
@@ -82,7 +82,7 @@ def test_support_determinism():
 
 def test_gap_not_closed_flagging():
     # a tol below the rounding floor is flagged, though the barrier path
-    # and the ascent from its primal close this bracket to within the floor
+    # and the recovered primal close this bracket to within the floor
     a = matcore.ginibre_random(5, np.random.default_rng(8))
     cfg = crange.SolveConfig(tol=1e-16)
     h = (a + a.conj().T) / 2.0
@@ -93,20 +93,12 @@ def test_gap_not_closed_flagging():
 
 
 def test_sub_precision_bracket_keeps_factored_dual():
-    # at tol = 1e-16 the polished dual and the repaired one lie within the
-    # rounding floor; the polished one, which has a Cholesky factor, is kept
+    # at tol = 1e-16 the path runs down to the rounding floor; its dual,
+    # which has a Cholesky factor, is the one reported
     a = matcore.ginibre_random(8, np.random.default_rng(2))
     res = crange.support_direction(a, 0.0, crange.SolveConfig(tol=1e-16))
     assert res.gap >= 0.0
     np.linalg.cholesky(np.diag(res.dual_y) - crange.rotated_hermitian_part(a, 0.0))
-
-
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_ascend_returns_its_value(n):
-    h = random_hermitian(n, np.random.default_rng(n))
-    np.fill_diagonal(h, 0.0)
-    v, value = crange._ascend(h, np.eye(n, dtype=np.complex128))
-    assert value == float(np.vdot(v, h @ v).real) / n
 
 
 def test_range_boundary_disk_sandwich():
@@ -153,11 +145,9 @@ def test_contains():
 
 def test_contains_accounts_for_refinement_solves():
     # the point is a grid witness, so the margin is at rounding level; every
-    # grid solve certifies at tol = 1e-12.  On the first input so does every
-    # refinement solve, and the point is inside; on the second, refinement
-    # solve 35 stays open with a gap of about 2e-9, which leaves the verdict
-    # inconclusive
-    for seed, flags in ((10, ()), (118, ("gap_not_closed@35",))):
+    # grid solve certifies at tol = 1e-12, and so does every warm refinement
+    # solve, so the point is inside and the verdict conclusive
+    for seed in (10, 118):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 9))
         a = matcore.ginibre_random(n, rng)
@@ -166,8 +156,7 @@ def test_contains_accounts_for_refinement_solves():
         assert rb.flags() == ()
         res = crange.contains(a, rb.samples[int(rng.integers(32))].witness_point, 32, cfg)
         assert abs(res.margin) < 1e-12 and res.contains
-        assert res.inconclusive == bool(flags)
-        assert res.flags == flags
+        assert not res.inconclusive and res.flags == ()
 
 
 def test_boundary_margin():
@@ -440,12 +429,9 @@ def test_grid_samples_keep_their_own_maximizers():
 def test_start_must_match_the_size(monkeypatch):
     a = _boundary_input(1, 1)  # 4 x 4
     small = crange.support_direction(_boundary_input(1, 0), 0.0)  # 3 x 3
-    v = crange.support_direction(a, 0.0).maximizer.vectors
-    narrow = dataclasses.replace(small, maximizer=GramFactor(v[:, :3]))
-    monkeypatch.setattr(crange, "_ascend", lambda *args: pytest.fail("a solve ran"))
-    for start in (small, narrow):
-        with pytest.raises(ValueError, match="start's maximizer must be 4 x 4"):
-            crange.support_direction(a, 0.1, start=start)
+    monkeypatch.setattr(crange, "polish_dual", lambda *args: pytest.fail("a solve ran"))
+    with pytest.raises(ValueError, match="start must solve a 4 x 4 matrix, got n = 3"):
+        crange.support_direction(a, 0.1, start=small)
 
 
 def test_grid_brackets_overlap_scalar_solves():
@@ -462,24 +448,6 @@ def test_grid_brackets_overlap_scalar_solves():
                 h = crange.rotated_hermitian_part(a, s.theta)
                 floor = crange._rounding_floor(h - np.diag(np.diag(h)))
                 assert s.value <= r.value + r.gap + floor and r.value <= s.value + s.gap + floor
-
-
-def test_stalled_warm_start_certifies_through_polish(monkeypatch):
-    # seed 1, op 6: chained from theta = 0 on the 32-direction grid, the
-    # maximizer of direction 12 has rank 1, and row updates keep the rows in
-    # its span, so the ascent of direction 13 from it stalls; polish_dual
-    # closes that bracket, as the cold solve's one barrier path closes its own
-    a = _boundary_input(1, 6)
-    start = crange.support_direction(a, 0.0)
-    for k in range(1, 13):
-        start = crange.support_direction(a, 2.0 * np.pi * k / 32, start=start)
-    assert np.linalg.matrix_rank(start.maximizer.vectors, tol=1e-8) == 1
-    polished = []
-    polish = crange.polish_dual
-    monkeypatch.setattr(crange, "polish_dual", lambda *args, **kwargs: polished.append(1) or polish(*args, **kwargs))
-    theta = 2.0 * np.pi * 13 / 32
-    assert crange.support_direction(a, theta).certified and len(polished) == 1
-    assert crange.support_direction(a, theta, start=start).certified and len(polished) == 2
 
 
 def test_refinement_chains_from_the_grid_sample(monkeypatch):
@@ -503,7 +471,7 @@ def test_refinement_chains_from_the_grid_sample(monkeypatch):
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_warm_refinement_matches_cold(monkeypatch, n):
     # radius_full's and contains' golden sections reach the same objective
-    # value from warm (ascent) and from cold (barrier) solves, to within
+    # value from warm and from cold barrier solves, to within
     # their largest certified gap and the rounding floor
     a = matcore.ginibre_random(n, np.random.default_rng(5))
     rb = crange.range_boundary(a, 64)
@@ -622,9 +590,42 @@ def test_one_direction_matches_the_stack(n):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 def test_certified_cold_solve_runs_no_ascent(monkeypatch, n):
-    monkeypatch.setattr(crange, "_ascend", lambda *args: pytest.fail("an ascent ran"))
+    # these cold solves, the split benchmark's recipe among them, close on
+    # the barrier's own primal: no recovery runs
+    monkeypatch.setattr(crange, "_recover", lambda *args: pytest.fail("a recovery ran"))
     for a, theta in _cold_cases(n):
         assert crange.support_direction(a, theta).certified
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_tight_grid_certifies_every_direction(monkeypatch, n):
+    # at tol 1e-12 the barrier's primal leaves directions open far above the
+    # rounding floor (the last level's centring stalls at rank-2 optima);
+    # the primal recovered from complementary slackness closes every one
+    recovered, recover = [], crange._recover
+    monkeypatch.setattr(crange, "_recover", lambda h, y: recovered.append(1) or recover(h, y))
+    cfg = crange.SolveConfig(tol=1e-12)
+    for s in range(3):
+        rb = crange.range_boundary(matcore.ginibre_random(n, np.random.default_rng([n, s])), 32, cfg)
+        assert rb.flags() == ()
+    assert recovered
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16])
+def test_recover_returns_unit_rows_below_the_dual(n):
+    # every candidate is feasible: the rows are unit Gram rows with at most
+    # n columns, whose value no dual bound is below by more than the
+    # rounding floor
+    a = matcore.ginibre_random(n, np.random.default_rng([n, 0]))
+    thetas = 2.0 * np.pi * np.arange(8) / 8
+    h, d, floor = crange._bare_parts(a, thetas)
+    for j, s in enumerate(crange.support_direction(a, thetas, crange.SolveConfig(tol=1e-10))):
+        y = s.dual_y - d[j]
+        rows, value = crange._recover(h[j], y)
+        assert rows.shape[0] == n and rows.shape[1] <= n
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-14)
+        assert value == pytest.approx(float(np.sum(rows.conj() * (h[j] @ rows)).real) / n, abs=1e-14)
+        assert value <= np.mean(y) + floor[j]
 
 
 def test_stacked_support_takes_no_start():

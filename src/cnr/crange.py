@@ -180,18 +180,18 @@ def _rounding_floor(h: np.ndarray):
 
 
 # Centred barrier path, shared by polish_dual and metrics._barrier, a
-# long-step path (Nesterov and Nemirovski 1994): a level before the last
-# ends at its first full-length Newton step, one of decrement lam <= 1/4,
-# which leaves the iterate in the quadratic region of the next level; the
-# last level, and on a path with a level hook the level before it, is
-# centred up to and including a step with decrement -grad.step <= PATH_TOL
-# * mu, or one that does not lower the decrement below the step before it
-# (rounding has then stalled the level); then mu shrinks by PATH_SHRINK, but
-# not below the path's floor mu_min.  polish_dual's floor is n mu =
-# _rounding_floor(H) / 4, where its stop rule holds: below it the decrement
-# wanders at rounding, and a last level ran to the safety stop.  A step that
-# leaves the iterate in place, all of it lost to rounding or none of its
-# trials in the cone, ends any level: the next would repeat it.
+# long-step path (Nesterov and Nemirovski 1994) with one level policy for
+# both: a level before the last ends at its first full-length Newton step,
+# one of decrement lam <= 1/4, which leaves the iterate in the quadratic
+# region of the next level; the last level is centred up to and including a
+# step with decrement -grad.step <= PATH_TOL * mu, or one that does not
+# lower the decrement below the step before it (rounding has then stalled
+# the level); then mu shrinks by PATH_SHRINK, but not below the path's floor
+# mu_min.  polish_dual's floor is n mu = _rounding_floor(H) / 4, where its
+# stop rule holds: below it the decrement wanders at rounding, and a last
+# level ran to the safety stop.  A step that leaves the iterate in place,
+# all of it lost to rounding or none of its trials in the cone, ends any
+# level: the next would repeat it.
 #
 # A step of Newton decrement lam starts at length 1/(1 + lam) if lam > 1/4,
 # else 1, and is halved, at most 40 times, until it stays in the cone.  A
@@ -202,13 +202,11 @@ def _rounding_floor(h: np.ndarray):
 # is the same at every level: 49 where the optimal primal has rank 1
 # (1/(1 + lam) is PATH_SHRINK there) and 69 = 49 sqrt(2) at rank 2, where
 # the damped step covers 71% of the move and a level took 5 to 7 steps.  So
-# a first step whose lam is within ENTRY_TOL of the previous level's first
-# lam starts at PATH_SHRINK if that is longer.  On a path with a level hook
-# the level before the last keeps the damped entry: it is the first level
-# the hook reads, and entered at the tangent the seminorm's brackets widen
-# up to 3 times.  PATH_STEPS is only a safety stop: the slowest level seen
-# takes 11 steps on support solves at n <= 32; on the seminorm, 10 over the
-# benchmark inputs of seeds 1-12 (n <= 16), 9 on the masked-sparse input of
+# on every level a first step whose lam is within ENTRY_TOL of the previous
+# level's first lam starts at PATH_SHRINK if that is longer.  PATH_STEPS is
+# only a safety stop: the slowest level seen takes 11 steps on support
+# solves at n <= 32; on the seminorm, 10 over the benchmark inputs of seeds
+# 1-12 (n <= 16), 9 on the masked-sparse input of
 # test_seminorm_centres_slow_levels and 24, its second, on a Ginibre n = 64
 # input.
 PATH_TOL = 1e-6
@@ -266,7 +264,7 @@ def _primal_rows(g):
     return (g / np.linalg.norm(g, axis=-2, keepdims=True)).conj().swapaxes(-1, -2)
 
 
-def _centred_path(slack, newton, x, mu, stop, level=None, mu_min=0.0):
+def _centred_path(slack, newton, x, mu, stop, mu_min=0.0):
     """Follow the path of minimizers of c.x - mu logdet(slack(x)), for a cost
     c that only newton sees.
 
@@ -283,18 +281,13 @@ def _centred_path(slack, newton, x, mu, stop, level=None, mu_min=0.0):
     the previous level's first lam (see PATH_TOL).  A level where stop(mu)
     does not hold ends at its first step with lam <= 1/4; the last is
     centred to a decrement of PATH_TOL mu, or until a step in that region
-    stops lowering it; a step that leaves x in place ends any level.  With a
-    level hook the level before the last, the one where stop holds at the
-    next mu, is centred that way too, keeps the damped entry, and
-    level(slack(x)^-1) is called after each of those two levels alone; it
-    must not modify its argument, which the next Newton system reads.  mu
+    stops lowering it; a step that leaves x in place ends any level.  mu
     shrinks by PATH_SHRINK from level to level, to no less than mu_min,
     where stop must hold.  The path ends once stop(mu) holds.  Returns the
     last iterate, strictly interior.
 
     A 2-D x is a stack of iterates, one row per matrix, and mu an array of
-    their levels; _centred_stack follows each matrix's path on it, and
-    calls no level hook.
+    their levels; _centred_stack follows each matrix's path on it.
     """
     if x.ndim == 2:
         return _centred_stack(slack, newton, x, mu, stop, mu_min)
@@ -304,10 +297,7 @@ def _centred_path(slack, newton, x, mu, stop, level=None, mu_min=0.0):
     w = _gram(g)
     entry = math.nan  # the previous level's first lam
     while True:
-        last = stop(mu)
-        # the last level is centred, and with a level hook the one before it
-        hooked = level is not None and stop(max(mu * PATH_SHRINK, mu_min))
-        centre = last or hooked  # else end at the first full step
+        last = stop(mu)  # the last level is centred, the others end at a full step
         prev = math.inf
         for step in range(PATH_STEPS):
             try:
@@ -317,8 +307,8 @@ def _centred_path(slack, newton, x, mu, stop, level=None, mu_min=0.0):
             decrement = -float(grad @ dx)
             lam = math.sqrt(max(decrement / mu, 0.0))
             t0 = 1.0 / (1.0 + lam) if lam > 0.25 else 1.0
-            if step == 0:  # the tangent entry, but not on the first hooked level
-                if abs(lam - entry) <= ENTRY_TOL * entry and not (hooked and not last):
+            if step == 0:  # the tangent entry
+                if abs(lam - entry) <= ENTRY_TOL * entry:
                     t0 = max(t0, PATH_SHRINK)
                 entry = lam
             for t in (t0 * 0.5**k for k in range(40)):
@@ -331,11 +321,9 @@ def _centred_path(slack, newton, x, mu, stop, level=None, mu_min=0.0):
             if np.array_equal(x_new, x):  # rounding lost the step: the next repeats it
                 break
             x, w = x_new, _gram(g)
-            if decrement <= PATH_TOL * mu or (lam <= 0.25 and not (centre and decrement < prev)):
+            if decrement <= PATH_TOL * mu or (lam <= 0.25 and not (last and decrement < prev)):
                 break
             prev = decrement
-        if hooked:
-            level(w)
         if last:
             return x
         mu = max(mu * PATH_SHRINK, mu_min)

@@ -9,18 +9,24 @@ kappa * seminorm <= radius <= seminorm; kappa is bracketed between
 1/(4n+2) and, for the canonical sparse witness, the computed radius itself.
 
 The seminorm is computed by one centred log-det barrier solve, on the path
-routine that crange.polish_dual also follows, and certified by a dual bound
-read from the barrier's inverse slack matrix after its last two levels, so
-each result is a bracket lower <= seminorm <= value.  The start sigma and
-the returned value are the top eigenvalue of the Hermitian dilation, from
-matcore.hermitian_eigs: read from the SVD instead, every value moves in its
-last bits and the n >= 32 brackets move both ways.  The dual bound's
-nuclear norms only divide a lower bound, and come from the SVD of the n x n
-matrix, with no eigenvectors.
+routine that crange.polish_dual also follows, with the same level policy,
+and certified by a dual bound computed once, after the path, so each result
+is a bracket lower <= seminorm <= value.  The bound comes from the top
+singular subspace of the end point's T - diag(d), of dimension at most
+isqrt(2n - 1) (Pataki's rank bound); only where that leaves the bracket
+wider than SEMINORM_TOL is the barrier's own bound, from its inverse slack
+at the end point, read as well, and lower is floored by 8 n eps max |T_ij|
+against rounding.  The start sigma and the returned value are the top
+eigenvalue of the Hermitian dilation, from matcore.hermitian_eigs, whose
+eigenvectors also give the singular subspace: read from the SVD instead,
+every value moves in its last bits.  The dual bound's nuclear norms only
+divide a lower bound, and come from the SVD of the n x n matrix, with no
+eigenvectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +36,7 @@ from .crange import DIRECTIONS, SolveConfig, _centred_path, radius, range_bounda
 
 SEMINORM_TOL = 1e-6  # bracket width, relative to max |T_ij|
 END_TOL = 5e-9  # the barrier path ends with its first level at mu <= END_TOL * ||T||_F / (8n)
+FIT_RIDGE = 1e-13  # Tikhonov term of the dual fit, relative to its normal matrix's largest diagonal entry
 KAPPA_DIRECTIONS = 64  # support grid of the radius inside kappa_search
 KAPPA_BUDGET = 20  # default radius/seminorm evaluations of kappa_search
 
@@ -37,8 +44,10 @@ KAPPA_BUDGET = 20  # default radius/seminorm evaluations of kappa_search
 @dataclass
 class SeminormResult:
     """Two-sided seminorm: value is attained by the trace-zero diagonal shift
-    (upper bound), lower is the barrier's dual bound, and agreed means the
-    bracket closed: value - lower <= SEMINORM_TOL * max |T_ij|."""
+    (upper bound), lower is a dual bound, from the top singular subspace of
+    T - diag(diagonal) or else the barrier's end point, less a rounding
+    floor of 8 n eps max |T_ij|, and agreed means the bracket closed:
+    value - lower <= SEMINORM_TOL * max |T_ij|."""
 
     value: float
     diagonal: np.ndarray
@@ -92,15 +101,76 @@ def _dilation(x: np.ndarray, s: float = 0.0) -> np.ndarray:
 def _sigma_max(x: np.ndarray) -> float:
     """||X||, the largest singular value of a square X: the top eigenvalue of
     its Hermitian dilation (no squared condition number).  The start sigma
-    and the returned value of a seminorm solve are read this way."""
+    of a seminorm solve is read this way, and _barrier reads its returned
+    value from the same decomposition."""
     return float(np.maximum(matcore.hermitian_eigs(_dilation(x)).eigenvalues[-1], 0.0))
 
 
-def _nuclear_norm(y: np.ndarray) -> float:
-    """||Y||_1, the sum of the singular values of a square Y, from LAPACK's
-    SVD of the n x n Y itself: a quarter of the size of its dilation, and no
-    eigenvectors.  Only the dual bound divides by it."""
-    return float(np.linalg.svd(y, compute_uv=False).sum())
+def _nuclear_norm(y: np.ndarray) -> np.ndarray:
+    """||Y||_1, the sum of the singular values of a square Y (of each of a
+    stack), from LAPACK's SVD of the n x n Y itself: a quarter of the size of
+    its dilation, and no eigenvectors.  Only the dual bound divides by it."""
+    return np.linalg.svd(y, compute_uv=False).sum(axis=-1)
+
+
+def _dual_bound(t: np.ndarray, y: np.ndarray) -> float:
+    """The seminorm's dual bound |tr(Y* T)| / ||Y||_1 once Y's diagonal is set
+    to its mean, which is done in place; the best over a stack of Y.  With a
+    constant diagonal, tr(Y* D) = 0 for every trace-zero diagonal D, so
+    |tr(Y* T)| = |tr(Y* (T - D))| <= ||Y||_1 ||T - D||: every Y gives a lower
+    bound, and Y = 0 gives 0."""
+    i = np.arange(t.shape[0])
+    y[..., i, i] = np.mean(y[..., i, i], axis=-1, keepdims=True)
+    pairing = np.abs(np.sum(y.conj() * t, axis=(-2, -1)))
+    nuclear = _nuclear_norm(y)
+    return float(np.max(np.divide(pairing, nuclear, out=np.zeros_like(pairing), where=nuclear > 0.0)))
+
+
+def _hermitian_basis(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """A real basis of the r x r Hermitian matrices, r^2 of them: E_ab + E_ba
+    for a <= b and i (E_ab - E_ba) for a < b.  Also returns, for each, the
+    size of the smallest top-left block that holds it."""
+    a, b = np.triu_indices(r)
+    units = np.zeros((len(a), r, r), dtype=np.complex128)
+    units[np.arange(len(a)), a, b] = 1.0
+    sym, skew = units + units.swapaxes(1, 2), 1j * (units - units.swapaxes(1, 2))
+    off = a < b
+    return np.concatenate([sym, skew[off]]), np.concatenate([b, b[off]]) + 1
+
+
+def _subspace_bound(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """The best dual bound of Y = U_r M V_r* over r <= R, for the first r of
+    the R columns of U and V, the top singular pairs of X = T - diag(d).
+
+    At an optimal X every optimal dual is such a Y with M positive
+    semidefinite, from the top singular subspace (complementary slackness,
+    Alizadeh, Haeberly and Overton 1997); its diagonal is constant, which is
+    2n - 1 real constraints with tr M = 1, so some optimal M has r^2 <=
+    2n - 1 (Pataki 1998), the R the caller passes.  For each r, the r^2
+    real parameters of a Hermitian M are fitted by least squares to diag(Y)
+    = c 1, c the mean of diag(Y), and tr M = 1; M's PSD part then gives Y, and
+    _dual_bound the bound.  All r are one stacked solve of the normal
+    equations, with the columns a smaller r leaves unused zeroed and 1 on
+    their diagonal.  On masked-sparse inputs and at repeated singular
+    values the fit is underdetermined, its normal matrix singular or nearly
+    so: the ridge FIT_RIDGE keeps the solve finite and the fitted M small.
+    Without it, a plain solve left the bracket wider than SEMINORM_TOL on
+    26 of the first 3,000 benchmark inputs of each of seeds 1, 2, 3 and
+    7717; with it, on one, which _barrier's fallback closes."""
+    r = u.shape[1]
+    basis, size = _hermitian_basis(r)
+    # diag(U E_p V*) for each basis matrix E_p, with its mean taken off
+    k = (u[:, :, None] * v.conj()[:, None, :]).reshape(len(u), -1) @ basis.reshape(len(basis), -1).T
+    k -= k.mean(axis=0)
+    trace = np.trace(basis, axis1=1, axis2=2).real
+    normal = (k.conj().T @ k).real + np.outer(trace, trace)
+    normal += FIT_RIDGE * np.max(np.diag(normal)) * np.eye(len(basis))
+    used = size <= np.arange(1, r + 1)[:, None]  # the columns of each r
+    normal = np.where(used[:, :, None] & used[:, None, :], normal, np.eye(len(basis)))
+    p = np.linalg.solve(normal, (trace * used)[..., None])
+    lam, w = np.linalg.eigh((p[..., 0] @ basis.reshape(len(basis), -1)).reshape(r, r, r))
+    m = (w * np.maximum(lam, 0.0)[:, None, :]) @ w.conj().swapaxes(1, 2)
+    return _dual_bound(t, u @ m @ v.conj().T)
 
 
 def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
@@ -115,20 +185,19 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
     Hessian assembly O(n^2) from W = Z^-1: tr(W^2) and the diagonal of
     (W^2)_21 are read from W without forming W^2.
 
-    Returns (value, d, lower) with value attained by d.  For Y, the
-    lower-left block of W with its diagonal replaced by its mean,
-    tr(Y D) = 0 for every trace-zero diagonal D, so |tr(Y T)| =
-    |tr(Y (T - D))| <= ||Y||_1 ||T - D||: lower is the better |tr(Y T)| / ||Y||_1
-    of the path's last two levels, the ones it centres and hands to its level
-    hook.  A centred level's bound sits below the value by a gap in
-    proportion to mu, 50 times wider at each earlier level, and on the
-    seminorm benchmark inputs (n <= 16) no earlier level gave the better
-    bound.  The last level alone is not enough: its slack s - sigma is so
-    small that rounding leaves W's diagonal uneven by up to ~1e-5 relative,
-    and the averaging turns that into a loss of ~1e-6.  From n = 32 on the
-    level before it gives the bound; at n = 48 and 64 the level before that
-    would give a better one, yet the Ginibre brackets measured there still
-    close (6.3e-7 relative at n = 64)."""
+    Returns (value, d, lower) with value attained by d, and lower a dual
+    bound (_dual_bound) computed once the path has ended.  The eigenvectors
+    of the dilation that gives value give X = T - diag(d)'s top R =
+    isqrt(2n - 1) singular pairs, and _subspace_bound reads the bound from
+    them.  Where the top singular values are split at the end point, the
+    fit in their subspace leaves diag(Y) uneven, and that bound can leave
+    the bracket wider than SEMINORM_TOL: the barrier's own bound then runs too,
+    on the upper-right block of slack(x)^-1, whose pairing with T is that of
+    the lower-left with T^T.  Of the first 3,000 benchmark inputs of each of
+    seeds 1, 2, 3 and 7717, one needs it (a masked-sparse n = 16 input whose
+    top three singular values are split by up to 1.3e-6).  lower is then
+    floored by 8 n eps, the form of crange._rounding_floor, since both
+    bounds can exceed value by about n eps."""
     n = t.shape[0]
     scale = matcore.frobenius(t)
     s = sigma + max(0.02 * sigma, 1e-4 * scale)
@@ -176,25 +245,24 @@ def _barrier(t: np.ndarray, d: np.ndarray, sigma: float):
         flat[lower_diag] = flat[upper_diag].conj()
         return z
 
-    lowers = [0.0]
-
-    def level(w):
-        y = w[n:, :n].copy()
-        np.fill_diagonal(y, np.mean(np.diag(y)))
-        nuclear = _nuclear_norm(y)
-        if nuclear > 0.0:
-            lowers.append(abs(complex(np.sum(y * t.T))) / nuclear)
-
     x = _centred_path(
         slack,
         newton,
         np.concatenate([[s], d.real, d.imag]),
         max(s - sigma, 1e-5 * scale),
         lambda mu: mu <= END_TOL * scale / (8.0 * n),
-        level,
     )
     d = diagonal(x)
-    return _sigma_max(t - np.diag(d)), d, max(lowers)
+    eig = matcore.hermitian_eigs(_dilation(t - np.diag(d)))
+    value = float(np.maximum(eig.eigenvalues[-1], 0.0))
+    # the top R singular pairs, largest first: eigenvector (u, v) / sqrt(2)
+    # of the dilation's eigenvalue sigma_i
+    top = np.sqrt(2.0) * eig.eigenvectors[:, : -math.isqrt(2 * n - 1) - 1 : -1]
+    lower = _subspace_bound(t, top[:n], top[n:])
+    if value - lower > SEMINORM_TOL:
+        w = np.linalg.inv(slack(x))
+        lower = max(lower, _dual_bound(t, w[:n, n:]))
+    return value, d, max(lower - 8.0 * n * np.finfo(float).eps, 0.0)
 
 
 def correlation_seminorm_full(t) -> SeminormResult:

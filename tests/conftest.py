@@ -25,7 +25,7 @@ def path_counts(monkeypatch):
             counts.failed += 1
             raise
 
-    def counted_path(slack, newton, x, mu, stop, level=None, mu_min=0.0):
+    def counted_path(slack, newton, x, mu, stop, mu_min=0.0):
         mus = []
 
         def counted_newton(w, mu):
@@ -35,7 +35,7 @@ def path_counts(monkeypatch):
             counts.levels[-1] += 1
             return newton(w, mu)
 
-        return centred_path(slack, counted_newton, x, mu, stop, level, mu_min)
+        return centred_path(slack, counted_newton, x, mu, stop, mu_min)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     monkeypatch.setattr(crange, "_centred_path", counted_path)

@@ -699,7 +699,7 @@ def path_trace(monkeypatch):
     trace = {"rows": {}, "rounds": 0}
     centred_path = crange._centred_path
 
-    def path(slack, newton, x, mu, stop, level=None, mu_min=0.0):
+    def path(slack, newton, x, mu, stop, mu_min=0.0):
         if x.ndim == 1:
             row = trace["rows"].setdefault(len(trace["rows"]), [])
 
@@ -708,7 +708,7 @@ def path_trace(monkeypatch):
                 row.append((mu, -float(grad @ dx)))
                 return grad, dx
 
-            return centred_path(slack, recorded, x, mu, stop, level, mu_min)
+            return centred_path(slack, recorded, x, mu, stop, mu_min)
         base, rounds, alone = len(trace["rows"]), [], []
 
         def stacked(w, mu):

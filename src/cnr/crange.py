@@ -22,7 +22,9 @@ radius and contains chains them, starts that path from the previous
 direction's dual, against the value of its maximizer.  Where the barrier's
 primal leaves a bracket open (the last level's centring stalls at rank-2
 optima), a primal is recovered from complementary slackness at the final
-dual (_recover).  Solves are deterministic and take no seed.
+dual (_recover), in one stacked call over the open directions, from the fit
+_slackness_fit that the seminorm's dual bound shares.  Solves are
+deterministic and take no seed.
 """
 
 from __future__ import annotations
@@ -408,6 +410,52 @@ def _centred_stack(slack, newton, x, mu, stop, mu_min):
     return out
 
 
+FIT_RIDGE = 1e-13  # Tikhonov term of _slackness_fit, relative to its normal matrix's largest diagonal entry
+
+
+def _hermitian_basis(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """A real basis of the r x r Hermitian matrices, r^2 of them: E_ab + E_ba
+    for a <= b and i (E_ab - E_ba) for a < b.  Also returns, for each, the
+    size of the smallest top-left block that holds it."""
+    a, b = np.triu_indices(r)
+    units = np.zeros((len(a), r, r), dtype=np.complex128)
+    units[np.arange(len(a)), a, b] = 1.0
+    sym, skew = units + units.swapaxes(1, 2), 1j * (units - units.swapaxes(1, 2))
+    off = a < b
+    return np.concatenate([sym, skew[off]]), np.concatenate([b, b[off]]) + 1
+
+
+def _slackness_fit(u, v):
+    """The complementary-slackness fit of _recover and of the seminorm's
+    dual bound (metrics._subspace_bound): at an optimum, an optimal PSD M
+    of small rank r lies in a known subspace (Alizadeh, Haeberly and
+    Overton, Math. Program. 1997), with r^2 at most the number of real
+    constraints (Pataki, Math. Oper. Res. 1998).
+
+    u and v are (..., n, R), leading axes a stack.  For each r <= R, the r^2
+    real parameters of a Hermitian M_r are fitted by least squares to
+    diag(U_r M_r V_r*) = c 1, c its mean, and tr M_r = 1, all r in one
+    stacked solve of the normal equations; the columns a smaller r leaves
+    unused are zeroed with 1 on their diagonal, so M_r is zero outside its
+    top-left r x r block.  The ridge FIT_RIDGE keeps underdetermined fits
+    (repeated singular values, masked-sparse inputs) finite and M small.
+    Returns np.linalg.eigh of the (..., R, R, R) stack of M_r."""
+    r = u.shape[-1]
+    basis, size = _hermitian_basis(r)
+    flat = basis.reshape(len(basis), -1)
+    # diag(U E_p V*) for each basis matrix E_p, with its mean taken off
+    k = (u[..., :, None] * v.conj()[..., None, :]).reshape(*u.shape[:-1], -1) @ flat.T
+    k -= k.mean(axis=-2, keepdims=True)
+    trace = np.trace(basis, axis1=1, axis2=2).real
+    normal = (k.conj().swapaxes(-1, -2) @ k).real + np.outer(trace, trace)
+    ridge = FIT_RIDGE * np.max(np.diagonal(normal, axis1=-2, axis2=-1), axis=-1)
+    normal += ridge[..., None, None] * np.eye(len(basis))
+    used = size <= np.arange(1, r + 1)[:, None]  # the columns of each r
+    normal = np.where(used[:, :, None] & used[:, None, :], normal[..., None, :, :], np.eye(len(basis)))
+    p = np.linalg.solve(normal, (trace * used)[..., None])
+    return np.linalg.eigh((p[..., 0] @ flat).reshape(*p.shape[:-3], r, r, r))
+
+
 def polish_dual(h, y0, target, stop_tol):
     """Minimize mean(y) over feasible duals diag(y) - H >= 0.
 
@@ -529,7 +577,8 @@ def _barrier_solve(a: np.ndarray, thetas: np.ndarray, cfg: SolveConfig, start=No
     = 0) or attains less than target.  At rank-2 optima and small mu the
     last level's centring stalls, and that primal can leave the bracket open
     well above the rounding floor; only there does _recover take a primal
-    from complementary slackness, kept if it attains more."""
+    from complementary slackness, one stacked call over those directions,
+    and a recovered primal is kept where it attains more."""
     n = a.shape[0]
     h, d, floor = _bare_parts(a, thetas)
     if start is None:
@@ -543,43 +592,37 @@ def _barrier_solve(a: np.ndarray, thetas: np.ndarray, cfg: SolveConfig, start=No
     v[ok] = _primal_rows(g[ok])
     value = np.sum(v.conj() * (h @ v), axis=(1, 2)).real / n
     v[value < target], value = v0, np.maximum(value, target)
-    for j in np.flatnonzero(np.mean(y, axis=1) - value + floor > cfg.tol):
+    j = np.flatnonzero(np.mean(y, axis=1) - value + floor > cfg.tol)
+    if j.size:
         v_j, value_j = _recover(h[j], y[j])
-        if value_j > value[j]:
-            v[j], value[j] = v_j, value_j
+        better = value_j > value[j]
+        v[j[better]], value[j[better]] = v_j[better], value_j[better]
     return _results(a, thetas, d, floor, v, value, y, cfg)
 
 
 def _recover(h, y):
-    """Primal of H without its diagonal from complementary slackness at the
-    dual y (Alizadeh, Haeberly and Overton, Math. Program. 1997): an optimal
-    B is V M V* for the null space V of the optimal diag(y) - H and some
-    Hermitian PSD M.  With V_r the eigenvectors of the r smallest eigenvalues
-    of diag(y) - H, M solves diag(V_r M V_r*) = 1 by least squares (for the
-    real and imaginary parts of M, whose minimum-norm solution is Hermitian:
-    r^2 free real unknowns), keeps its PSD part, and the rows of V_r M^1/2,
-    normalised, are unit Gram rows, so every candidate is feasible and its
-    value a proven lower bound.  r runs over 1..isqrt(n): extreme points of
-    the elliptope have rank r with r^2 <= n (Pataki, Math. Oper. Res. 1998),
-    and the maximum is attained at one.  Returns the best candidate's rows,
-    zero-padded to n columns, and its value; (None, -inf) if no candidate's
-    rows are all nonzero."""
-    n = h.shape[0]
-    u = matcore.hermitian_eigs(np.diag(y) - h).eigenvectors
-    rows, value = None, -math.inf
-    for r in range(1, math.isqrt(n) + 1):
-        c = (u[:, :r, None] * u[:, None, :r].conj()).reshape(n, r * r)  # diag(V M V*) = c vec(M)
-        m = np.linalg.lstsq(np.hstack([c.real, -c.imag]), np.ones(n), rcond=None)[0]
-        lam, w = np.linalg.eigh((m[: r * r] + 1j * m[r * r :]).reshape(r, r))
-        x = u[:, :r] @ (w * np.sqrt(np.maximum(lam, 0.0)))
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        if not (norms > 0.0).all():
-            continue
-        x /= norms
-        x_value = float(np.sum(x.conj() * (h @ x)).real) / n
-        if x_value > value:
-            rows, value = np.pad(x, ((0, 0), (0, n - r))), x_value
-    return rows, value
+    """Primals of the (J, n, n) stack h of H without its diagonal, from
+    complementary slackness at the (J, n) duals y: an optimal B is V M V*
+    for the null space V of the optimal diag(y) - H and some PSD M.  V is
+    taken as the R = isqrt(n) lowest eigenvectors of diag(y) - H (extreme
+    points of the elliptope have r^2 <= n, and the maximum is attained at
+    one), and _slackness_fit(V, V) gives each M_r; as tr(V M_r V*) = tr M_r,
+    its diagonal is 1/n.  The normalised rows of V M_r^1/2, from M_r's PSD
+    part, are unit Gram rows, so every candidate is feasible and its value a
+    proven lower bound.  Returns each matrix's best candidate rows,
+    zero-padded to n columns, and its value (-inf if no candidate's rows are
+    all nonzero), as that matrix alone would give them."""
+    n = h.shape[-1]
+    v = matcore.hermitian_eigs(_slack(y, h)).eigenvectors[..., : math.isqrt(n)]
+    lam, w = _slackness_fit(v, v)
+    x = v[:, None] @ (w * np.sqrt(np.maximum(lam, 0.0))[..., None, :])  # (J, R, n, R)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    x = np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
+    value = np.sum(x.conj() * (h[:, None] @ x), axis=(-2, -1)).real / n
+    value[~(norms > 0.0).all(axis=(-2, -1))] = -math.inf
+    best = np.argmax(value, axis=1)
+    rows, value = x[np.arange(len(x)), best], value[np.arange(len(x)), best]
+    return np.pad(rows, ((0, 0), (0, 0), (0, n - rows.shape[-1]))), value
 
 
 def _results(a, thetas, d, floor, v, value, y, cfg: SolveConfig) -> SupportResults:

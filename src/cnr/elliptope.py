@@ -25,8 +25,9 @@ UNIT_TOL = 1e-12
 @dataclass
 class GramFactor:
     """Unit vectors e_1..e_n as the rows of an n x n complex array.  A
-    factor of rank r < n may hold its rows in the first r columns and zeros
-    in the rest, as a primal recovered from complementary slackness does."""
+    factor of rank r < n may hold its rows in its first k >= r columns and
+    zeros in the rest, as a primal recovered from complementary slackness
+    does (k = isqrt(n))."""
 
     vectors: np.ndarray
 

@@ -13,15 +13,16 @@ routine that crange.polish_dual also follows, with the same level policy,
 and certified by a dual bound computed once, after the path, so each result
 is a bracket lower <= seminorm <= value.  The bound comes from the top
 singular subspace of the end point's T - diag(d), of dimension at most
-isqrt(2n - 1) (Pataki's rank bound); only where that leaves the bracket
-wider than SEMINORM_TOL is the barrier's own bound, from its inverse slack
-at the end point, read as well, and lower is floored by 8 n eps max |T_ij|
-against rounding.  The start sigma and the returned value are the top
-eigenvalue of the Hermitian dilation, from matcore.hermitian_eigs, whose
-eigenvectors also give the singular subspace: read from the SVD instead,
-every value moves in its last bits.  The dual bound's nuclear norms only
-divide a lower bound, and come from the SVD of the n x n matrix, with no
-eigenvectors.
+isqrt(2n - 1) (Pataki's rank bound), fitted by crange._slackness_fit, the
+complementary-slackness fit that the support solver's primal recovery also
+uses; only where that leaves the bracket wider than SEMINORM_TOL is the
+barrier's own bound, from its inverse slack at the end point, read as well,
+and lower is floored by 8 n eps max |T_ij| against rounding.  The start
+sigma and the returned value are the top eigenvalue of the Hermitian
+dilation, from matcore.hermitian_eigs, whose eigenvectors also give the
+singular subspace: read from the SVD instead, every value moves in its last
+bits.  The dual bound's nuclear norms only divide a lower bound, and come
+from the SVD of the n x n matrix, with no eigenvectors.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, matcore
-from .crange import DIRECTIONS, SolveConfig, _centred_path, radius, range_boundary
+from .crange import DIRECTIONS, SolveConfig, _centred_path, _slackness_fit, radius, range_boundary
 
 SEMINORM_TOL = 1e-6  # bracket width, relative to max |T_ij|
 END_TOL = 5e-9  # the barrier path ends with its first level at mu <= END_TOL * ||T||_F / (8n)
-FIT_RIDGE = 1e-13  # Tikhonov term of the dual fit, relative to its normal matrix's largest diagonal entry
 KAPPA_DIRECTIONS = 64  # support grid of the radius inside kappa_search
 KAPPA_BUDGET = 20  # default radius/seminorm evaluations of kappa_search
 
@@ -126,49 +126,22 @@ def _dual_bound(t: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.divide(pairing, nuclear, out=np.zeros_like(pairing), where=nuclear > 0.0)))
 
 
-def _hermitian_basis(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """A real basis of the r x r Hermitian matrices, r^2 of them: E_ab + E_ba
-    for a <= b and i (E_ab - E_ba) for a < b.  Also returns, for each, the
-    size of the smallest top-left block that holds it."""
-    a, b = np.triu_indices(r)
-    units = np.zeros((len(a), r, r), dtype=np.complex128)
-    units[np.arange(len(a)), a, b] = 1.0
-    sym, skew = units + units.swapaxes(1, 2), 1j * (units - units.swapaxes(1, 2))
-    off = a < b
-    return np.concatenate([sym, skew[off]]), np.concatenate([b, b[off]]) + 1
-
-
 def _subspace_bound(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """The best dual bound of Y = U_r M V_r* over r <= R, for the first r of
     the R columns of U and V, the top singular pairs of X = T - diag(d).
 
     At an optimal X every optimal dual is such a Y with M positive
-    semidefinite, from the top singular subspace (complementary slackness,
-    Alizadeh, Haeberly and Overton 1997); its diagonal is constant, which is
-    2n - 1 real constraints with tr M = 1, so some optimal M has r^2 <=
-    2n - 1 (Pataki 1998), the R the caller passes.  For each r, the r^2
-    real parameters of a Hermitian M are fitted by least squares to diag(Y)
-    = c 1, c the mean of diag(Y), and tr M = 1; M's PSD part then gives Y, and
-    _dual_bound the bound.  All r are one stacked solve of the normal
-    equations, with the columns a smaller r leaves unused zeroed and 1 on
-    their diagonal.  On masked-sparse inputs and at repeated singular
-    values the fit is underdetermined, its normal matrix singular or nearly
-    so: the ridge FIT_RIDGE keeps the solve finite and the fitted M small.
-    Without it, a plain solve left the bracket wider than SEMINORM_TOL on
-    26 of the first 3,000 benchmark inputs of each of seeds 1, 2, 3 and
-    7717; with it, on one, which _barrier's fallback closes."""
-    r = u.shape[1]
-    basis, size = _hermitian_basis(r)
-    # diag(U E_p V*) for each basis matrix E_p, with its mean taken off
-    k = (u[:, :, None] * v.conj()[:, None, :]).reshape(len(u), -1) @ basis.reshape(len(basis), -1).T
-    k -= k.mean(axis=0)
-    trace = np.trace(basis, axis1=1, axis2=2).real
-    normal = (k.conj().T @ k).real + np.outer(trace, trace)
-    normal += FIT_RIDGE * np.max(np.diag(normal)) * np.eye(len(basis))
-    used = size <= np.arange(1, r + 1)[:, None]  # the columns of each r
-    normal = np.where(used[:, :, None] & used[:, None, :], normal, np.eye(len(basis)))
-    p = np.linalg.solve(normal, (trace * used)[..., None])
-    lam, w = np.linalg.eigh((p[..., 0] @ basis.reshape(len(basis), -1)).reshape(r, r, r))
+    semidefinite, from the top singular subspace; its diagonal is constant,
+    which is 2n - 1 real constraints with tr M = 1, so some optimal M has
+    r^2 <= 2n - 1 (Pataki 1998), the R the caller passes.  crange's
+    _slackness_fit, which the support solver's primal recovery shares,
+    fits every M_r in one stacked solve; M's PSD part then gives Y, and
+    _dual_bound the bound.  The fit's ridge (crange.FIT_RIDGE) keeps the
+    underdetermined fits of masked-sparse inputs and repeated singular
+    values finite: without it, a plain solve left the bracket wider than
+    SEMINORM_TOL on 26 of the first 3,000 benchmark inputs of each of seeds
+    1, 2, 3 and 7717; with it, on one, which _barrier's fallback closes."""
+    lam, w = _slackness_fit(u, v)
     m = (w * np.maximum(lam, 0.0)[:, None, :]) @ w.conj().swapaxes(1, 2)
     return _dual_bound(t, u @ m @ v.conj().T)
 

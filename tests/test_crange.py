@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from collections import Counter
 
@@ -601,31 +602,53 @@ def test_certified_cold_solve_runs_no_ascent(monkeypatch, n):
 def test_tight_grid_certifies_every_direction(monkeypatch, n):
     # at tol 1e-12 the barrier's primal leaves directions open far above the
     # rounding floor (the last level's centring stalls at rank-2 optima);
-    # the primal recovered from complementary slackness closes every one
+    # the primal recovered from complementary slackness closes every one,
+    # in one stacked recovery per grid
     recovered, recover = [], crange._recover
-    monkeypatch.setattr(crange, "_recover", lambda h, y: recovered.append(1) or recover(h, y))
+    monkeypatch.setattr(crange, "_recover", lambda h, y: recovered.append(len(h)) or recover(h, y))
     cfg = crange.SolveConfig(tol=1e-12)
     for s in range(3):
+        recovered.clear()
         rb = crange.range_boundary(matcore.ginibre_random(n, np.random.default_rng([n, s])), 32, cfg)
         assert rb.flags() == ()
-    assert recovered
+        assert len(recovered) == 1 and recovered[0] > 1
 
 
 @pytest.mark.parametrize("n", [1, 4, 9, 16])
 def test_recover_returns_unit_rows_below_the_dual(n):
     # every candidate is feasible: the rows are unit Gram rows with at most
     # n columns, whose value no dual bound is below by more than the
-    # rounding floor
+    # rounding floor; one stacked call recovers all 8 directions, each row
+    # bit for bit as a call on that matrix alone, as a matrix factored in a
+    # stack is (test_failed_stacked_cholesky_is_bisected)
     a = matcore.ginibre_random(n, np.random.default_rng([n, 0]))
     thetas = 2.0 * np.pi * np.arange(8) / 8
     h, d, floor = crange._bare_parts(a, thetas)
-    for j, s in enumerate(crange.support_direction(a, thetas, crange.SolveConfig(tol=1e-10))):
-        y = s.dual_y - d[j]
-        rows, value = crange._recover(h[j], y)
-        assert rows.shape[0] == n and rows.shape[1] <= n
-        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-14)
-        assert value == pytest.approx(float(np.sum(rows.conj() * (h[j] @ rows)).real) / n, abs=1e-14)
-        assert value <= np.mean(y) + floor[j]
+    y = np.array([s.dual_y for s in crange.support_direction(a, thetas, crange.SolveConfig(tol=1e-10))]) - d
+    rows, value = crange._recover(h, y)
+    assert rows.shape[:2] == (8, n) and rows.shape[2] <= n
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=2), 1.0, atol=1e-14)
+    for j in range(8):
+        assert value[j] == pytest.approx(float(np.sum(rows[j].conj() * (h[j] @ rows[j])).real) / n, abs=1e-14)
+        assert value[j] <= np.mean(y[j]) + floor[j]
+        rows_j, value_j = crange._recover(h[j : j + 1], y[j : j + 1])
+        assert rows[j].tobytes() == rows_j[0].tobytes() and value[j] == value_j[0]
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16])
+def test_slackness_fit_is_exact_on_equal_row_norms(n):
+    # the first R columns of the unitary DFT matrix have rows of equal norm,
+    # so diag(U M U*) is constant for M = I_r / r, the minimum-norm fit of
+    # every r; a leading axis stacks two copies
+    r = math.isqrt(n)
+    u = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(r)) / n) / math.sqrt(n)
+    lam, w = crange._slackness_fit(np.stack([u, u]), np.stack([u, u]))
+    assert lam.shape == (2, r, r) and w.shape == (2, r, r, r)
+    m = (w * lam[..., None, :]) @ w.conj().swapaxes(-1, -2)
+    for k in range(1, r + 1):
+        expected = np.zeros((r, r))
+        expected[:k, :k] = np.eye(k) / k
+        np.testing.assert_allclose(m[:, k - 1], np.broadcast_to(expected, (2, r, r)), atol=1e-12)
 
 
 def test_stacked_support_takes_no_start():

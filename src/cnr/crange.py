@@ -23,8 +23,12 @@ direction's dual, against the value of its maximizer.  Where the barrier's
 primal leaves a bracket open (the last level's centring stalls at rank-2
 optima), a primal is recovered from complementary slackness at the final
 dual (_recover), in one stacked call over the open directions, from the fit
-_slackness_fit that the seminorm's dual bound shares.  Solves are
-deterministic and take no seed.
+_slackness_fit that the seminorm's dual bound shares.  Before that path, a
+cold grid at small n (isqrt(n) <= RANK_ONE_ISQRT) tries the rank-one point
+of every direction (_rank_one, power and Newton steps on the torus, the
+mirror of _recover: a dual from a primal, certified by repair_dual), and
+only the directions whose bracket that leaves open take the stacked path.
+Solves are deterministic and take no seed.
 """
 
 from __future__ import annotations
@@ -69,9 +73,10 @@ class SupportResult:
     """Certified solve of one support direction.
 
     value is attained by the maximizer (lower bound): the Gram rows of the
-    barrier's primal, of B = I or the warm start's maximizer, or of a
-    recovered primal; mean(dual_y) is an upper bound, as diag(dual_y) - H is
-    PSD (repaired dual) or positive definite (barrier iterate).
+    barrier's primal, of B = I or the warm start's maximizer, of a
+    recovered primal, or the rank-one point; mean(dual_y) is an upper bound,
+    as diag(dual_y) - H is PSD (repaired dual) or positive definite (barrier
+    iterate).
     gap = mean(dual_y) - value.  flags is empty for certified solves: gap
     plus the rounding floor of H's off-diagonal part is at most cfg.tol.
     """
@@ -565,39 +570,168 @@ class SupportResults(list):
 
 
 def _barrier_solve(a: np.ndarray, thetas: np.ndarray, cfg: SolveConfig, start=None) -> SupportResults:
-    """support_direction at each angle of thetas, from the barrier path.
-    The dual is polish_dual(H, y0, target, cfg.tol / 4): one stacked path,
-    or the path of one matrix if there is one angle.  Cold, y0 = 0, whose
-    repair is lambda_max(H_k) 1, and target = 0, which B = I attains on
-    every H_k without its diagonal.  Warm, y0 is start's dual less the new
-    diagonal and target the value of start's maximizer on the new H, which
-    attains it.  The primal is the unit-diagonal rescaling of (diag(y_k) -
-    H_k)^-1, or that fallback (I, or start's maximizer) where the rescaling
-    has no Cholesky factor (a dual left on the cone's boundary, as for H_k
-    = 0) or attains less than target.  At rank-2 optima and small mu the
-    last level's centring stalls, and that primal can leave the bracket open
-    well above the rounding floor; only there does _recover take a primal
-    from complementary slackness, one stacked call over those directions,
-    and a recovered primal is kept where it attains more."""
+    """support_direction at each angle of thetas, from the barrier path
+    (_barrier_path) or the rank-one point (_rank_one).  A cold solve of two
+    or more angles at n with isqrt(n) <= RANK_ONE_ISQRT (Pataki's bound
+    then allows optima of rank at most 2, and rank one dominates) first
+    tries the rank-one point of every angle, from the phases of H_k's top
+    eigenvector.  At n <= 3 every optimum has rank one, so a row whose
+    bracket stays open there restarts once, from the phases of the lowest
+    eigenvector of its slack diag(y_k) - H_k.  A row whose bracket closes,
+    gap plus rounding floor at most cfg.tol, is final; only the others run
+    the cold stacked path, as a stack even if one row is left, so they keep
+    the bits of a path-only solve.  One angle, a warm solve and larger n
+    take the path alone: one angle leaves nothing to amortise the pass
+    over, and at larger n rank-two optima dominate."""
     n = a.shape[0]
     h, d, floor = _bare_parts(a, thetas)
-    if start is None:
-        v0, y0, target = np.eye(n, dtype=np.complex128), 0.0, 0.0
+    if start is not None:
+        v0 = start.maximizer.vectors
+        target = float(_attained(h[0], v0))
+        v, value, y = _barrier_path(h, floor, cfg, True, v0, start.dual_y - d[0], target)
+    elif len(h) == 1 or math.isqrt(n) > RANK_ONE_ISQRT:
+        v, value, y = _barrier_path(h, floor, cfg, len(h) == 1)
     else:
-        v0, y0 = start.maximizer.vectors, start.dual_y - d[0]
-        target = float(np.sum(v0.conj() * (h[0] @ v0)).real) / n
-    y = polish_dual(h[0] if len(h) == 1 else h, y0, target, cfg.tol / 4.0).reshape(d.shape)
+        eigs = matcore.hermitian_eigs(h)
+        shift = np.maximum(-eigs.eigenvalues[:, :1], 0.0)
+        v, value, y = _rank_one(h, eigs.eigenvectors[..., -1], shift)
+        j = _open_rows(y, value, floor, cfg)
+        if j.size and math.isqrt(n) == 1:  # every optimum has rank one: restart once
+            u = matcore.hermitian_eigs(_slack(y[j], h[j])).eigenvectors[..., 0]
+            v[j], value[j], y[j] = _rank_one(h[j], u, shift[j])
+            j = j[_open_rows(y[j], value[j], floor[j], cfg)]
+        if j.size:
+            v[j], value[j], y[j] = _barrier_path(h[j], floor[j], cfg, False)
+    return _results(a, thetas, d, floor, v, value, y, cfg)
+
+
+def _open_rows(y, value, floor, cfg: SolveConfig):
+    """Indices of the rows whose bracket, gap mean(y) - value plus the
+    rounding floor, is wider than cfg.tol."""
+    return np.flatnonzero(np.mean(y, axis=1) - value + floor > cfg.tol)
+
+
+def _attained(h, v):
+    """Re tr(H V V*) / n: the value of the Gram rows v on H (of each of a
+    stack), n its size."""
+    return np.sum(v.conj() * (h @ v), axis=(-2, -1)).real / h.shape[-1]
+
+
+def _barrier_path(h, floor, cfg: SolveConfig, one: bool, v0=None, y0=0.0, target=0.0):
+    """(v, value, y) of the (m, n, n) stack h of H without its diagonal, from
+    the barrier path: the dual is polish_dual(H, y0, target, cfg.tol / 4),
+    one stacked path, or the path of the one matrix if one.  Cold (v0 None),
+    y0 = 0, whose repair is lambda_max(H_k) 1, and target = 0, which B = I
+    attains on every H_k without its diagonal.  Warm, y0 is start's dual
+    less the new diagonal and target the value of start's maximizer v0 on
+    the new H, which attains it.  The primal is the unit-diagonal rescaling
+    of (diag(y_k) - H_k)^-1, or that fallback (I, or v0) where the
+    rescaling has no Cholesky factor (a dual left on the cone's boundary,
+    as for H_k = 0) or attains less than target.  At rank-2 optima and small
+    mu the last level's centring stalls, and that primal can leave the
+    bracket open well above the rounding floor; only there does _recover
+    take a primal from complementary slackness, one stacked call over those
+    directions, and a recovered primal is kept where it attains more."""
+    if v0 is None:
+        v0 = np.eye(h.shape[-1], dtype=np.complex128)
+    y = polish_dual(h[0] if one else h, y0, target, cfg.tol / 4.0).reshape(h.shape[:-1])
     g, ok = _inverse_factors(_slack(y, h))
     v = np.broadcast_to(v0, h.shape).copy()
     v[ok] = _primal_rows(g[ok])
-    value = np.sum(v.conj() * (h @ v), axis=(1, 2)).real / n
+    value = _attained(h, v)
     v[value < target], value = v0, np.maximum(value, target)
-    j = np.flatnonzero(np.mean(y, axis=1) - value + floor > cfg.tol)
+    j = _open_rows(y, value, floor, cfg)
     if j.size:
         v_j, value_j = _recover(h[j], y[j])
         better = value_j > value[j]
         v[j[better]], value[j[better]] = v_j[better], value_j[better]
-    return _results(a, thetas, d, floor, v, value, y, cfg)
+    return v, value, y
+
+
+# The rank-one pass of _barrier_solve: RANK_ONE_POWER shifted power steps,
+# then Newton on the torus until a step moves no phase by more than
+# RANK_ONE_STEP, at most RANK_ONE_NEWTON steps.  It runs where isqrt(n) <=
+# RANK_ONE_ISQRT, Pataki's bound on the rank of an optimum.  range_boundary
+# time with the pass over the path alone, Ginibre inputs, 3 seeds: 0.45 /
+# 0.61 / 0.83 at n = 3 / 4 / 8 with 256 directions, 0.45 / 0.75 / 1.01 with
+# 32; beyond the gate, 0.82 / 0.94 / 1.09 at n = 10 / 12 / 15 with 256
+# directions, and 1.03 at n = 12 with 32.
+RANK_ONE_ISQRT = 2
+RANK_ONE_POWER = 10
+RANK_ONE_NEWTON = 8
+RANK_ONE_STEP = 1e-13
+
+
+def _phase(w):
+    """w / |w| entrywise, and 1 where w = 0."""
+    r = np.abs(w)
+    return np.divide(w, r, out=np.ones_like(w), where=r > 0.0)
+
+
+def _rank_one(h, z, shift):
+    """(v, value, y) of the (m, n, n) stack h of H without its diagonal at
+    a rank-one point B = z z*, |z_i| = 1, a phase-synchronisation point
+    (Boumal, SIAM J. Optim. 2016): _recover's mirror, a dual from a primal.
+    z starts at the phases of the given vectors and takes RANK_ONE_POWER
+    power steps z <- phase((H + s I) z), s the shift max(-lambda_min(H), 0)
+    of each row, a monotone ascent of Re(z* H z); then Newton steps on the
+    angles phi of z = exp(i phi): gradient 2 Im(conj(z) Hz), Hessian
+    2 Re(diag(conj z) H diag(z)) - 2 diag(Re(conj(z) Hz)), less c 1 1^T
+    with c = max|H_ij|, which fixes the global phase and scales with H.  A
+    Newton step that lowers Re(z* H z) is replaced by a power step, and a
+    singular or non-finite system takes no step.  A row stops after a step
+    that moves no angle by more than RANK_ONE_STEP, or after RANK_ONE_NEWTON
+    steps.  At a stationary z, (diag(y) - H) z = 0 for y = Re(conj(z) Hz),
+    and repair_dual certifies that y.  The Gram rows are z in column 0,
+    zero-padded to n columns as _recover's are, and the value is recomputed
+    from them.  Each row is computed as it would be alone."""
+    m, n = h.shape[:2]
+    z = _phase(z)
+    for _ in range(RANK_ONE_POWER):
+        z = _phase((h @ z[..., None])[..., 0] + shift * z)
+    hz = (h @ z[..., None])[..., 0]
+    c = np.max(np.abs(h), axis=(1, 2))[:, None, None]
+    k = np.arange(m)  # the rows still taking Newton steps
+    for _ in range(RANK_ONE_NEWTON):
+        hk, zk, hzk = h[k], z[k], hz[k]
+        q = zk.conj() * hzk
+        hess = 2.0 * (zk.conj()[..., None] * hk * zk[:, None, :]).real - c[k]
+        hess.reshape(len(k), -1)[:, :: n + 1] -= 2.0 * q.real
+        step = _newton_steps(hess, -2.0 * q.imag)
+        z_new = zk * np.exp(1j * step)
+        hz_new = (hk @ z_new[..., None])[..., 0]
+        done = np.max(np.abs(step), axis=1) <= RANK_ONE_STEP
+        # a step that lowers Re(z* H z) is replaced by a power step
+        down = ~done & (np.sum(z_new.conj() * hz_new, axis=1).real < np.sum(q, axis=1).real)
+        if down.any():
+            z_new[down] = _phase(hzk[down] + shift[k[down]] * zk[down])
+            hz_new[down] = (hk[down] @ z_new[down][..., None])[..., 0]
+        z[k], hz[k] = z_new, hz_new
+        k = k[~done]
+        if not k.size:
+            break
+    y = repair_dual(h, (z.conj() * hz).real)
+    v = np.zeros_like(h)
+    v[..., 0] = z
+    return v, _attained(h, v), y
+
+
+def _newton_steps(hess, rhs):
+    """np.linalg.solve of each system of the stack; a singular or
+    non-finite one, solved alone, gives a zero step."""
+    try:
+        step = np.linalg.solve(hess, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(rhs)
+        for j in range(len(rhs)):
+            try:
+                step[j] = np.linalg.solve(hess[j], rhs[j])
+            except np.linalg.LinAlgError:
+                pass
+    return np.where(np.isfinite(step).all(axis=1, keepdims=True), step, 0.0)
+
+
+RECOVER_ENTRIES = 1 << 20  # bound on the J R^5 entries of one _recover chunk's fit
 
 
 def _recover(h, y):
@@ -611,14 +745,20 @@ def _recover(h, y):
     part, are unit Gram rows, so every candidate is feasible and its value a
     proven lower bound.  Returns each matrix's best candidate rows,
     zero-padded to n columns, and its value (-inf if no candidate's rows are
-    all nonzero), as that matrix alone would give them."""
+    all nonzero), as that matrix alone would give them.  The fit's normal
+    matrices take R^5 entries per matrix, so the stack is recovered in
+    chunks of at most RECOVER_ENTRIES of them."""
     n = h.shape[-1]
+    chunk = max(1, RECOVER_ENTRIES // math.isqrt(n) ** 5)
+    if len(h) > chunk:
+        parts = [_recover(h[i : i + chunk], y[i : i + chunk]) for i in range(0, len(h), chunk)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
     v = matcore.hermitian_eigs(_slack(y, h)).eigenvectors[..., : math.isqrt(n)]
     lam, w = _slackness_fit(v, v)
     x = v[:, None] @ (w * np.sqrt(np.maximum(lam, 0.0))[..., None, :])  # (J, R, n, R)
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     x = np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
-    value = np.sum(x.conj() * (h[:, None] @ x), axis=(-2, -1)).real / n
+    value = _attained(h[:, None], x)
     value[~(norms > 0.0).all(axis=(-2, -1))] = -math.inf
     best = np.argmax(value, axis=1)
     rows, value = x[np.arange(len(x)), best], value[np.arange(len(x)), best]

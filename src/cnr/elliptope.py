@@ -27,7 +27,7 @@ class GramFactor:
     """Unit vectors e_1..e_n as the rows of an n x n complex array.  A
     factor of rank r < n may hold its rows in its first k >= r columns and
     zeros in the rest, as a primal recovered from complementary slackness
-    does (k = isqrt(n))."""
+    does (k = isqrt(n)) and the rank-one point of a support solve (k = 1)."""
 
     vectors: np.ndarray
 

@@ -571,22 +571,53 @@ def test_rank_two_levels_enter_at_the_tangent(path_counts):
     assert len(path_counts.levels) > 3 and max(path_counts.levels[3:]) <= 3
 
 
+@pytest.fixture
+def path_stacks(monkeypatch):
+    """The stacks of H without its diagonal that _barrier_path solves while
+    a test runs, in order."""
+    stacks, barrier_path = [], crange._barrier_path
+
+    def recorded(h, *args):
+        stacks.append(h.copy())
+        return barrier_path(h, *args)
+
+    monkeypatch.setattr(crange, "_barrier_path", recorded)
+    return stacks
+
+
+def _on_path(stacks, h):
+    """Whether each matrix of the stack h is one that _barrier_path solved."""
+    return np.array([any((s == m).all(axis=(1, 2)).any() for s in stacks) for m in h])
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
-def test_one_direction_matches_the_stack(n):
+def test_one_direction_matches_the_stack(path_stacks, n):
     # a scalar theta and a stack of one angle take polish_dual's path for one
-    # matrix; a stack of two the stacked path; every solve certifies, and
-    # the stack's duals and brackets agree with the scalar solve's to within
-    # the rounding floor
+    # matrix; a stack of two first tries the rank-one point at n <= 8
+    # (RANK_ONE_ISQRT), and its rows left open take the stacked path.  Every
+    # solve certifies.  A stacked row on the path has the scalar solve's
+    # dual to within the rounding floor; a row the rank-one pass closes has
+    # a gap within the floor and a value inside the scalar solve's bracket,
+    # widened by the floor; both brackets meet the scalar one
     cases = _cold_cases(n) + ([(matcore.hermitian_parts(_split_input())[0], np.pi)] if n == 8 else [])
+    closed = 0
     for a, theta in cases:
         h = crange.rotated_hermitian_part(a, theta)
         floor = crange._rounding_floor(h - np.diag(np.diag(h)))
         one = crange.support_direction(a, theta)
         alone = crange.support_direction(a, np.array([theta]))[0]
         assert one.certified and one.value == alone.value and np.array_equal(one.dual_y, alone.dual_y)
-        s = crange.support_direction(a, np.array([theta, theta + 1.0]))[0]
-        assert s.certified and abs(np.mean(s.dual_y) - np.mean(one.dual_y)) <= floor
+        path_stacks.clear()
+        thetas = np.array([theta, theta + 1.0])
+        s = crange.support_direction(a, thetas)[0]
+        assert s.certified
+        if _on_path(path_stacks, crange._bare_parts(a, thetas)[0])[0]:
+            assert abs(np.mean(s.dual_y) - np.mean(one.dual_y)) <= floor
+        else:
+            closed += 1
+            assert s.gap <= floor and one.value - floor <= s.value <= one.value + one.gap + floor
         assert s.value <= one.value + one.gap + floor and one.value <= s.value + s.gap + floor
+    assert (closed > 0) == (math.isqrt(n) <= crange.RANK_ONE_ISQRT)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
@@ -612,6 +643,93 @@ def test_tight_grid_certifies_every_direction(monkeypatch, n):
         rb = crange.range_boundary(matcore.ginibre_random(n, np.random.default_rng([n, s])), 32, cfg)
         assert rb.flags() == ()
         assert len(recovered) == 1 and recovered[0] > 1
+
+
+def _assert_same_bits(s, t):
+    """Two SupportResults alike bit for bit."""
+    assert (s.theta, s.value, s.gap, s.witness_point, s.flags) == (t.theta, t.value, t.gap, t.witness_point, t.flags)
+    assert s.dual_y.tobytes() == t.dual_y.tobytes()
+    assert s.maximizer.vectors.tobytes() == t.maximizer.vectors.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_grids_close_without_the_path(monkeypatch, n):
+    # at n <= 3 every optimum has rank one (Pataki's bound r^2 <= n): the
+    # rank-one pass, with its restart, closes every direction, within the
+    # rounding floor, and no barrier path runs
+    def fail(*args, **kwargs):
+        pytest.fail("a barrier path ran")
+
+    monkeypatch.setattr(crange, "_barrier_path", fail)
+    monkeypatch.setattr(crange, "_centred_path", fail)
+    for seed in range(3):
+        a = matcore.ginibre_random(n, np.random.default_rng([n, seed]))
+        rb = crange.range_boundary(a, 256)
+        floor = crange._bare_parts(a, rb.thetas())[2]
+        assert rb.flags() == () and all(s.gap <= f for s, f in zip(rb.samples, floor))
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_subset_of_angles_keeps_its_rows(path_stacks, n):
+    # every row, closed by the rank-one pass or left to the stacked path,
+    # depends on its own angle alone: a subset of the grid's angles gives
+    # the full grid's rows at those angles, bit for bit
+    a = matcore.ginibre_random(n, np.random.default_rng([n, 1]))
+    thetas = 2.0 * np.pi * np.arange(64) / 64
+    full = crange.support_direction(a, thetas)
+    on_path = _on_path(path_stacks, crange._bare_parts(a, thetas)[0])
+    for sub in (np.arange(0, 64, 3), np.flatnonzero(on_path)[:2], np.flatnonzero(~on_path)[:2]):
+        assert len(sub) >= 2
+        for j, s in zip(sub, crange.support_direction(a, thetas[sub])):
+            _assert_same_bits(s, full[j])
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_open_rows_keep_the_path_bits(path_stacks, monkeypatch, n):
+    # the rows that the rank-one pass leaves open, 3 / 7 / 1 of 64 at n = 4
+    # for these seeds, are those of a solve on the stacked path alone, bit
+    # for bit, a single open row included
+    thetas = 2.0 * np.pi * np.arange(64) / 64
+    for seed in (1, 2, 3):
+        a = matcore.ginibre_random(n, np.random.default_rng([n, seed]))
+        path_stacks.clear()
+        full = crange.support_direction(a, thetas)
+        on_path = _on_path(path_stacks, crange._bare_parts(a, thetas)[0])
+        assert 0 < on_path.sum() < 64
+        with monkeypatch.context() as m:
+            m.setattr(crange, "RANK_ONE_ISQRT", 0)
+            path = crange.support_direction(a, thetas)
+        for j in np.flatnonzero(on_path):
+            _assert_same_bits(full[j], path[j])
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+def test_rank_one_rows_are_unit_and_attain_their_value(n):
+    # the rank-one pass's Gram rows are z in column 0, |z_i| = 1, zero
+    # beyond it; the value is their own, and the repaired dual is feasible
+    # and no lower than it by more than the rounding floor
+    a = matcore.ginibre_random(n, np.random.default_rng([n, 1]))
+    h, d, floor = crange._bare_parts(a, 2.0 * np.pi * np.arange(32) / 32)
+    eigs = matcore.hermitian_eigs(h)
+    v, value, y = crange._rank_one(h, eigs.eigenvectors[..., -1], np.maximum(-eigs.eigenvalues[:, :1], 0.0))
+    assert v.shape == h.shape and not v[..., 1:].any()
+    np.testing.assert_allclose(np.abs(v[..., 0]), 1.0, atol=1e-15)
+    for j in range(32):
+        assert value[j] == pytest.approx(float(np.sum(v[j].conj() * (h[j] @ v[j])).real) / n, abs=1e-14)
+        assert value[j] <= np.mean(y[j]) + floor[j]
+        assert np.linalg.eigvalsh(np.diag(y[j]) - h[j])[0] >= -floor[j]
+
+
+def test_sub_precision_grid_is_flagged_as_on_the_path(monkeypatch):
+    # at tol = 1e-16, below every rounding floor, no rank-one row closes:
+    # every direction is flagged, and the grid is the path-only solve's
+    a = _boundary_input(1, 1)
+    cfg = crange.SolveConfig(tol=1e-16)
+    rb = crange.range_boundary(a, 32, cfg)
+    assert rb.flags() == tuple(f"gap_not_closed@{k}" for k in range(32))
+    monkeypatch.setattr(crange, "RANK_ONE_ISQRT", 0)
+    for s, t in zip(rb.samples, crange.range_boundary(a, 32, cfg).samples):
+        _assert_same_bits(s, t)
 
 
 @pytest.mark.parametrize("n", [1, 4, 9, 16])
@@ -684,6 +802,26 @@ def test_huge_grid_flags_without_raising():
         warnings.simplefilter("error", RuntimeWarning)
         rb = crange.range_boundary(a, 64)
     assert rb.flags() and np.isfinite(rb.supports()).all() and np.isfinite(rb.uppers()).all()
+
+
+def test_tiny_grid_closes_on_the_rank_one_pass(path_stacks, monkeypatch):
+    # the same Gaussian scaled by 2^-520 certifies without a barrier path or
+    # a RuntimeWarning.  The pass's Newton systems, whose phase term scales
+    # with H, stay regular, so on the directions that it closes at scale 1
+    # it gives 2^-520 times those values, to rounding; a fixed phase term
+    # swamps H there and leaves power iterates 1e-2 short
+    g = np.random.default_rng(4).standard_normal((4, 4, 2))
+    a = g[..., 0] + 1j * g[..., 1]
+    rb = crange.range_boundary(a, 64)
+    closed = ~_on_path(path_stacks, crange._bare_parts(a, rb.thetas())[0])
+    assert closed.sum() > 32
+    with monkeypatch.context() as m, warnings.catch_warnings():
+        m.setattr(crange, "_barrier_path", lambda *args: pytest.fail("a barrier path ran"))
+        warnings.simplefilter("error", RuntimeWarning)
+        tiny = crange.range_boundary(a * 2.0**-520, 64)
+    assert tiny.flags() == () and np.isfinite(tiny.supports()).all()
+    np.testing.assert_allclose(tiny.supports()[closed] * 2.0**520, rb.supports()[closed], rtol=0, atol=1e-12)
+    assert max(s.gap for s, c in zip(tiny.samples, closed) if c) * 2.0**520 <= 1e-12
 
 
 def test_point_between_attained_and_dual_line_is_not_outside(monkeypatch):
@@ -785,8 +923,18 @@ def test_polish_dual_takes_long_steps(path_trace):
     assert all(_check_long_steps(steps) >= 3 for steps in rows.values())
 
 
+def _stacked_path(a, m, cfg=crange.SolveConfig()):
+    """The cold stacked barrier path alone on all m directions of A's grid,
+    without the rank-one pass: (v, value, y, floor)."""
+    h, _, floor = crange._bare_parts(a, 2.0 * np.pi * np.arange(m) / m)
+    return crange._barrier_path(h, floor, cfg, False) + (floor,)
+
+
 def test_grid_takes_few_stacked_rounds(path_trace):
-    crange.range_boundary(_boundary_input(1, 0), 32)
+    # the stacked path itself on all 32 directions of a benchmark input,
+    # most of which the rank-one pass closes without it
+    _stacked_path(_boundary_input(1, 0), 32)
+    assert len(path_trace["rows"]) == 32
     assert path_trace["rounds"] <= 17
     assert all(_check_long_steps(steps) >= 3 for steps in path_trace["rows"].values())
 
@@ -794,16 +942,18 @@ def test_grid_takes_few_stacked_rounds(path_trace):
 def test_stalled_levels_end_early(path_trace):
     # the input of test_contains_accounts_for_refinement_solves at tol =
     # 1e-12: the last levels of these scalar solves, and of some rows of its
-    # grid, reach a mu that rounding cannot resolve, where a full step stops
-    # lowering the decrement or rounding absorbs a damped step whole; such
-    # levels ran to the 100-step safety stop
+    # grid on the stacked path, reach a mu that rounding cannot resolve,
+    # where a full step stops lowering the decrement or rounding absorbs a
+    # damped step whole; such levels ran to the 100-step safety stop
     rng = np.random.default_rng(10)
     n = int(rng.integers(3, 9))
     a = matcore.ginibre_random(n, rng)
     cfg = crange.SolveConfig(tol=1e-12)
     for k in (14, 23, 24, 31):
         assert crange.support_direction(a, 2.0 * np.pi * k / 32, cfg).certified
+    v, value, y, floor = _stacked_path(a, 32, cfg)
+    assert (np.mean(y, axis=1) - value + floor <= cfg.tol).all()
     assert crange.range_boundary(a, 32, cfg).flags() == ()
     rows = path_trace["rows"].values()
-    assert len(rows) >= 4 + 32  # and a scalar solve for each grid bracket left open
+    assert len(rows) >= 4 + 32  # and the grid's rows that the rank-one pass leaves open
     assert max(max(Counter(mu for mu, _ in steps).values()) for steps in rows) <= 20
